@@ -23,7 +23,8 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .minnorm import MultiplierTriple, min_norm_point, residual_m_detail
-from .problem import Problem, feasibility_violation
+from .penalty import complementarity, e2_values
+from .problem import Problem, constraint_values, feasibility_violation
 from .subdiff import DEFAULT_EPS_ACT, MODEL_NOTE, subdifferential
 from .tape import _check_point, eval_batch, eval_grad, eval_value
 
@@ -155,15 +156,17 @@ def check_akkt_conditions(records, pr: Problem, xbar, tol: float,
         tol,
     ))
 
+    # constraint values (g(x), h(x)) per record, shared by E1, E2, SGN, SCZ
+    cons = [constraint_values(pr, r.x) for r in clean]
+
     e1_err = 0.0
     e1_ok = True
-    for r in clean:
-        for i, gfn in enumerate(pr.inequalities):
-            ref = r.k * max(gfn.value(r.x), 0.0)
+    for r, (gvals, hvals) in zip(clean, cons):
+        for i, gv in enumerate(gvals):
+            ref = r.k * max(gv, 0.0)
             err = abs(float(r.mult.mu[i]) - ref) / max(1.0, abs(ref))
             e1_err = max(e1_err, err)
-        for j, h in enumerate(pr.equalities):
-            hv = eval_value(h, r.x)
+        for j, hv in enumerate(hvals):
             ref = r.k * abs(hv)
             err = abs(abs(float(r.mult.tau[j])) - ref) / max(1.0, ref)
             e1_err = max(e1_err, err)
@@ -179,34 +182,22 @@ def check_akkt_conditions(records, pr: Problem, xbar, tol: float,
         base | {"max_relative_error": float(e1_err)}, E1_REL_TOL,
     ))
 
+    fbar = [fobj.value(xb) for fobj in pr.objectives]
     e2_worst = -math.inf
-    for r in clean:
-        comp = 0.0
-        for i, gfn in enumerate(pr.inequalities):
-            comp += float(r.mult.mu[i]) * gfn.value(r.x)
-        for j, h in enumerate(pr.equalities):
-            comp += float(r.mult.tau[j]) * eval_value(h, r.x)
-        for l, fobj in enumerate(pr.objectives):
-            lhs = fobj.value(r.x) - fobj.value(xb) + 0.5 * comp
+    sgn_worst = math.inf
+    comp_sums = []
+    for r, (gvals, hvals) in zip(clean, cons):
+        terms, comp = complementarity(r.mult, gvals, hvals)
+        for lhs in e2_values(pr, r.x, fbar, comp):
             e2_worst = max(e2_worst, lhs)
+        for term in terms:
+            sgn_worst = min(sgn_worst, term)
+        comp_sums.append(abs(comp))
     verdicts.append(Verdict(
         "E2", "holds" if e2_worst <= tol else "fails",
         base | {"max_lhs": float(e2_worst)}, tol,
     ))
 
-    sgn_worst = math.inf
-    comp_sums = []
-    for r in clean:
-        total = 0.0
-        for i, gfn in enumerate(pr.inequalities):
-            term = float(r.mult.mu[i]) * gfn.value(r.x)
-            sgn_worst = min(sgn_worst, term)
-            total += term
-        for j, h in enumerate(pr.equalities):
-            term = float(r.mult.tau[j]) * eval_value(h, r.x)
-            sgn_worst = min(sgn_worst, term)
-            total += term
-        comp_sums.append(abs(total))
     if math.isinf(sgn_worst):
         sgn_worst = 0.0
     verdicts.append(Verdict(
@@ -217,6 +208,37 @@ def check_akkt_conditions(records, pr: Problem, xbar, tol: float,
     ok, ev = _tail_to_zero(comp_sums, tol)
     verdicts.append(Verdict("SCZ", "holds" if ok else "fails", base | ev, tol))
     return verdicts
+
+
+def _active_constraint_generators(pr: Problem, xb, eps_act: float):
+    """Subdifferential generators of the eps_act-active inequalities at
+    xb, then +grad h_j and -grad h_j per equality, in problem order.
+
+    Returns (generators, active inequality indices, fold), where
+    fold(weights) sums one weight per generator into (mu, tau).
+    """
+    gens = []
+    kinds = []  # (True, i, 1.0) for mu_i | (False, j, sign) for tau_j
+    active = []
+    for i, gfn in enumerate(pr.inequalities):
+        if gfn.value(xb) >= -eps_act:
+            active.append(i)
+            for g in subdifferential(gfn, xb, eps_act).generators:
+                gens.append(g)
+                kinds.append((True, i, 1.0))
+    for j, h in enumerate(pr.equalities):
+        _, hg = eval_grad(h, xb)
+        gens.extend((hg, -hg))
+        kinds.extend(((False, j, 1.0), (False, j, -1.0)))
+
+    def fold(weights):
+        mu = np.zeros(pr.m)
+        tau = np.zeros(pr.r)
+        for w, (on_mu, idx, sign) in zip(weights, kinds):
+            (mu if on_mu else tau)[idx] += sign * w
+        return mu, tau
+
+    return gens, tuple(active), fold
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,21 +277,7 @@ def check_kkt(pr: Problem, xbar, eps_act: float = DEFAULT_EPS_ACT,
         for g in sd.generators:
             obj_cols.append(g)
             owners.append(l)
-    cone_cols = []
-    cone_kind = []  # ("mu", i) or ("tau", j, sign)
-    active_ineq = []
-    for i, gfn in enumerate(pr.inequalities):
-        if gfn.value(xb) >= -eps_act:
-            active_ineq.append(i)
-            for g in subdifferential(gfn, xb, eps_act).generators:
-                cone_cols.append(g)
-                cone_kind.append(("mu", i))
-    for j, h in enumerate(pr.equalities):
-        _, hg = eval_grad(h, xb)
-        cone_cols.append(hg)
-        cone_kind.append(("tau", j, 1.0))
-        cone_cols.append(-hg)
-        cone_kind.append(("tau", j, -1.0))
+    cone_cols, active_ineq, fold = _active_constraint_generators(pr, xb, eps_act)
 
     n_obj = len(obj_cols)
     n_cone = len(cone_cols)
@@ -293,19 +301,13 @@ def check_kkt(pr: Problem, xbar, eps_act: float = DEFAULT_EPS_ACT,
     lam = np.zeros(pr.p)
     for w, l in zip(z[:n_obj], owners):
         lam[l] += w
-    mu = np.zeros(pr.m)
-    tau = np.zeros(pr.r)
-    for w, kind in zip(z[n_obj:], cone_kind):
-        if kind[0] == "mu":
-            mu[kind[1]] += w
-        else:
-            tau[kind[1]] += kind[2] * w
+    mu, tau = fold(z[n_obj:])
     mult = MultiplierTriple(lam=lam, mu=mu, tau=tau, a2_normalized=True)
     return KktResult(
         holds=residual <= tol,
         mult=mult,
         residual=residual,
-        active_inequalities=tuple(active_ineq),
+        active_inequalities=active_ineq,
     )
 
 
@@ -419,20 +421,7 @@ def check_qncq_sufficient(pr: Problem, xbar, eps_act: float = DEFAULT_EPS_ACT,
             f"point violates the constraints by {feas.aggregate:.3e} (limit 1e-08)"
         )
 
-    gens = []
-    kinds = []  # ("mu", i) | ("tau", j, sign)
-    for i, gfn in enumerate(pr.inequalities):
-        if gfn.value(xb) >= -eps_act:
-            for g in subdifferential(gfn, xb, eps_act).generators:
-                gens.append(g)
-                kinds.append(("mu", i))
-    for j, h in enumerate(pr.equalities):
-        _, hg = eval_grad(h, xb)
-        gens.append(hg)
-        kinds.append(("tau", j, 1.0))
-        gens.append(-hg)
-        kinds.append(("tau", j, -1.0))
-
+    gens, _, fold = _active_constraint_generators(pr, xb, eps_act)
     if not gens:
         return QncqResult("holds", math.inf, {
             "reason": "no active constraint generators: QNCQ holds vacuously",
@@ -446,13 +435,7 @@ def check_qncq_sufficient(pr: Problem, xbar, eps_act: float = DEFAULT_EPS_ACT,
             "generators": len(gens),
         })
 
-    mu = np.zeros(pr.m)
-    tau = np.zeros(pr.r)
-    for w, kind in zip(res.weights[0], kinds):
-        if kind[0] == "mu":
-            mu[kind[1]] += w
-        else:
-            tau[kind[1]] += kind[2] * w
+    mu, tau = fold(res.weights[0])
     evidence = {
         "candidate_mu": [float(v) for v in mu],
         "candidate_tau": [float(v) for v in tau],
@@ -494,17 +477,9 @@ class ConvexCertificate:
     evidence: dict
 
 
-def _max_piece_gradient(fn, x) -> np.ndarray:
-    _, vals, grads = fn.value_and_gradients(x)
-    jb = 0
-    for j in range(1, len(vals)):
-        if vals[j] > vals[jb]:
-            jb = j
-    return grads[jb]
-
-
 def certify_weak_efficiency_convex(pr: Problem, xbar, records,
-                                   tol: float = 1e-6, seed: int = 0) -> ConvexCertificate:
+                                   tol: float = 1e-6, seed: int = 0,
+                                   eps_act: float = DEFAULT_EPS_ACT) -> ConvexCertificate:
     """Sufficient weak-efficiency certificate for convex problems.
 
     Requires every objective and inequality to carry the convex
@@ -512,8 +487,9 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
     across 10 random points within 1e-9).  The convexity assertion is
     spot-checked on 200 seeded pairs per function; a violation raises
     with the offending pair.  Certification then demands A0-A3 on the
-    records with the fixed-gradient residual (the AKKT' variant) plus
-    SCZ.  Evidence includes the limit scalarization sum_l lam_l f_l(xbar).
+    records with the fixed-gradient residual (the AKKT' variant) at
+    activity tolerance eps_act, plus SCZ.  Evidence includes the limit
+    scalarization sum_l lam_l f_l(xbar).
     """
     xb = _check_point(xbar)
     for fn in list(pr.objectives) + list(pr.inequalities):
@@ -539,8 +515,8 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
         for _ in range(200):
             u = xb + rng.uniform(-1.0, 1.0, size=pr.n)
             v = xb + rng.uniform(-1.0, 1.0, size=pr.n)
-            fu, fv = fn.value(u), fn.value(v)
-            grad_u = _max_piece_gradient(fn, u)
+            fu, grad_u = fn.max_piece(u)
+            fv = fn.value(v)
             if fv < fu + float(grad_u @ (v - u)) - 1e-8:
                 raise ValueError(
                     f"convexity assertion for '{fn.label}' is false: the "
@@ -548,7 +524,7 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
                     f"v={v.tolist()}"
                 )
 
-    fragment = check_akkt_conditions(records, pr, xb, tol,
+    fragment = check_akkt_conditions(records, pr, xb, tol, eps_act=eps_act,
                                      residual_mode="prime")
     wanted = {"A0", "A1", "A2", "A3", "SCZ"}
     verdicts = tuple(v for v in fragment if v.condition in wanted)
@@ -575,6 +551,17 @@ class OracleResult:
     counterexample: tuple | None
     points_checked: int
     feasible_points: int
+
+
+def _batch_max(fn, coords: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Row-wise max of fn's pieces over coords; clears ok in place on the
+    rows where a piece is out of domain."""
+    fmax = np.full(coords.shape[0], -np.inf)
+    for piece in fn.pieces:
+        vals, good = eval_batch(piece, coords)
+        ok &= good
+        fmax = np.maximum(fmax, vals)
+    return fmax
 
 
 def weak_efficiency_oracle(pr: Problem, xbar, lo, hi, step: float = 1e-3) -> OracleResult:
@@ -613,19 +600,9 @@ def weak_efficiency_oracle(pr: Problem, xbar, lo, hi, step: float = 1e-3) -> Ora
         ok = np.ones(idx.size, dtype=bool)
         dominates = np.ones(idx.size, dtype=bool)
         for l, fobj in enumerate(pr.objectives):
-            fmax = np.full(idx.size, -np.inf)
-            for piece in fobj.pieces:
-                vals, good = eval_batch(piece, coords)
-                ok &= good
-                fmax = np.maximum(fmax, vals)
-            dominates &= fmax < fbar[l] - 1e-9
+            dominates &= _batch_max(fobj, coords, ok) < fbar[l] - 1e-9
         for gfn in pr.inequalities:
-            gmax = np.full(idx.size, -np.inf)
-            for piece in gfn.pieces:
-                vals, good = eval_batch(piece, coords)
-                ok &= good
-                gmax = np.maximum(gmax, vals)
-            ok &= gmax <= 1e-8
+            ok &= _batch_max(gfn, coords, ok) <= 1e-8
         for h in pr.equalities:
             vals, good = eval_batch(h, coords)
             ok &= good

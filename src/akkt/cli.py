@@ -40,7 +40,7 @@ from .penalty import (
     save_sequence_csv,
 )
 from .problem import Problem, catalog, resolve_problem
-from .subdiff import MODEL_NOTE
+from .subdiff import DEFAULT_EPS_ACT, MODEL_NOTE
 from .tape import DomainError
 
 EXIT_HOLDS = 0
@@ -232,14 +232,11 @@ def _cmd_certify_akkt(args):
 def _cmd_check_kkt(args):
     pr = resolve_problem(args.problem)
     point = _parse_point(args.point, pr)
-    res = check_kkt(
-        pr, point,
-        eps_act=args.eps_act if args.eps_act is not None else 1e-6,
-        tol=args.tol,
-    )
+    eps_act = args.eps_act if args.eps_act is not None else DEFAULT_EPS_ACT
+    res = check_kkt(pr, point, eps_act=eps_act, tol=args.tol)
     report = _base_report(args, pr, point)
     report.update({
-        "parameters": {"tol": args.tol, "eps_act": args.eps_act or 1e-6},
+        "parameters": {"tol": args.tol, "eps_act": eps_act},
         "verdict": "holds" if res.holds else "fails",
         "residual": res.residual,
         "multipliers": {
@@ -260,7 +257,7 @@ def _cmd_certify_convex(args):
     cfg = _build_config(args, pr)
     seq = generate_akkt_sequence(pr, point, cfg)
     cert = certify_weak_efficiency_convex(
-        pr, point, seq.records, tol=args.tol, seed=args.seed,
+        pr, point, seq.records, tol=args.tol, seed=args.seed, eps_act=cfg.eps_act,
     )
     report = _base_report(args, pr, point)
     report.update({
@@ -287,7 +284,7 @@ def _cmd_oracle(args):
     try:
         res = weak_efficiency_oracle(pr, point, lo, hi, step=args.step)
     except DomainError:
-        raise
+        raise  # a ValueError too, but a numerical failure: main() exits 3
     except ValueError as e:
         raise UsageError(str(e)) from None
     report = _base_report(args, pr, point)

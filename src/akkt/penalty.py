@@ -12,13 +12,15 @@ mu_i = k max(g_i, 0) and tau_j = k h_j then form the candidate sequence
 whose stationarity certificates the certification layer checks.
 
 The inner solver is a restart ladder of normalized projected
-subgradient rounds: round r runs `round_len` iterations with step
-c_r / sqrt(t) (c_r = delta * step_frac * step_shrink^r), restarting
+subgradient rounds: round r runs ROUND_LEN iterations with step
+c_r / sqrt(t) (c_r = delta * STEP_FRAC * STEP_SHRINK^r), restarting
 from the incumbent.  Each round proposes its best-by-value iterate and
 the average of its tail iterates; the incumbent keeps the lowest
 phi_k.  The ladder stops when the min-norm stationarity estimate of
-the incumbent drops below `stat_tol`, the iteration budget is spent,
-or the step floor is reached.
+the incumbent drops below STAT_TOL, INNER_CAP iterations are spent,
+or the step floor is reached; up to POLISH_ROUNDS line searches along
+the min-norm model direction follow.  The k-schedule is truncated once
+the residual drops below RESIDUAL_STOP.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .backend import kernels
 from .minnorm import MinNormResult, MultiplierTriple, min_norm_point, residual_m_detail
-from .problem import FeasibilityReport, Problem, feasibility_violation
+from .problem import FeasibilityReport, Problem, constraint_values, feasibility_violation
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
 from .tape import (
     STATUS_MESSAGES,
@@ -40,11 +42,17 @@ from .tape import (
     bundle_tapes,
     compile_tape,
     eval_grad,
-    eval_value,
     locate_bundle_error,
 )
 
 FEASIBILITY_TOL = 1e-8
+INNER_CAP = 5000        # total inner iterations per k
+ROUND_LEN = 250         # iterations per restart round
+STEP_FRAC = 0.1         # c_0 = delta * STEP_FRAC
+STEP_SHRINK = 0.1       # c_{r+1} = STEP_SHRINK * c_r
+STAT_TOL = 1e-8         # stop when stationarity <= this
+RESIDUAL_STOP = 1e-8    # truncate the k-schedule below this
+POLISH_ROUNDS = 40      # model-direction line searches after the ladder
 
 
 def geometric_schedule(k_min: float = 1.0, k_max: float = 1e8, ratio: float = 10.0):
@@ -63,18 +71,11 @@ def geometric_schedule(k_min: float = 1.0, k_max: float = 1e8, ratio: float = 10
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Knobs for the penalty path and the inner subgradient ladder."""
+    """Knobs for the penalty path."""
 
     delta: float = 1.0                 # trust ball radius around xbar
     schedule: tuple = field(default_factory=geometric_schedule)
-    inner_cap: int = 5000              # total inner iterations per k
-    round_len: int = 250               # iterations per restart round
-    step_frac: float = 0.1             # c_0 = delta * step_frac
-    step_shrink: float = 0.1           # c_{r+1} = step_shrink * c_r
-    stat_tol: float = 1e-8             # stop when stationarity <= this
     eps_act: float = 1e-6              # activity tolerance for polytopes
-    residual_stop: float = 1e-8        # truncate the k-schedule below this
-    polish_rounds: int = 40            # model-direction line searches after the ladder
 
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
@@ -88,19 +89,8 @@ class PenaltyConfig:
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("schedule must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
-        if self.inner_cap < 1:
-            raise ValueError("inner_cap must be >= 1")
-        if self.round_len < 2:
-            raise ValueError("round_len must be >= 2")
-        if not (0 < self.step_frac <= 1):
-            raise ValueError("step_frac must be in (0, 1]")
-        if not (0 < self.step_shrink < 1):
-            raise ValueError("step_shrink must be in (0, 1)")
-        for name in ("stat_tol", "eps_act", "residual_stop"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.polish_rounds < 0:
-            raise ValueError("polish_rounds must be >= 0")
+        if self.eps_act < 0:
+            raise ValueError("eps_act must be >= 0")
 
 
 class ProblemKernel:
@@ -116,11 +106,11 @@ class ProblemKernel:
         tapes = []
         obj_ps = [0]
         for fobj in pr.objectives:
-            tapes.extend(compile_tape(piece) for piece in fobj.pieces)
+            tapes.extend(fobj.tapes)
             obj_ps.append(len(tapes))
         ineq_ps = [len(tapes)]
         for gfn in pr.inequalities:
-            tapes.extend(compile_tape(piece) for piece in gfn.pieces)
+            tapes.extend(gfn.tapes)
             ineq_ps.append(len(tapes))
         for h in pr.equalities:
             tapes.append(compile_tape(h))
@@ -166,10 +156,6 @@ class ProblemKernel:
         if status:
             self._raise_domain(status, bad)
         return f_best, bool(halted), int(n_done)
-
-
-def build_kernel(pr: Problem, xbar) -> ProblemKernel:
-    return ProblemKernel(pr, xbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,26 +228,17 @@ def _one_selection_subgradient(kern: ProblemKernel, k: float, x) -> np.ndarray:
     tie-breaking (strict argmax keeps the lowest piece index)."""
     pr = kern.pr
     phi = -math.inf
-    sel = None
+    d = None
     for l, fobj in enumerate(pr.objectives):
-        vmax, vals, grads = fobj.value_and_gradients(x)
-        jb = 0
-        for j in range(1, len(vals)):
-            if vals[j] > vals[jb]:
-                jb = j
-        fl = vals[jb] - float(kern.fbar[l])
+        v, g = fobj.max_piece(x)
+        fl = v - float(kern.fbar[l])
         if fl > phi:
             phi = fl
-            sel = grads[jb]
-    d = sel.copy()
+            d = g
     for gfn in pr.inequalities:
-        vmax, vals, grads = gfn.value_and_gradients(x)
-        jb = 0
-        for j in range(1, len(vals)):
-            if vals[j] > vals[jb]:
-                jb = j
-        if vals[jb] > 0.0:
-            d += (k * vals[jb]) * grads[jb]
+        v, g = gfn.max_piece(x)
+        if v > 0.0:
+            d += (k * v) * g
     for h in pr.equalities:
         hv, hg = eval_grad(h, x)
         d += (k * hv) * hg
@@ -269,18 +246,18 @@ def _one_selection_subgradient(kern: ProblemKernel, k: float, x) -> np.ndarray:
     return d
 
 
-def _polish(kern: ProblemKernel, k: float, x, phik: float, cfg: PenaltyConfig):
+def _polish(kern: ProblemKernel, k: float, x, phi: float, phik: float,
+            model: StationarityModel, cfg: PenaltyConfig):
     """Descent along the min-norm model direction with a bisection line
-    search on the directional derivative.  Deterministic; accepts a step
-    only on strict phi_k improvement, so phi_k(x) <= 0 is preserved.
+    search on the directional derivative, from x with its phi, phi_k and
+    stationarity model.  Deterministic; accepts a step only on strict
+    phi_k improvement, so phi_k(x) <= 0 is preserved.
 
     Returns (x, phi, phik, StationarityModel, steps_taken).
     """
-    phi, _ = kern.eval_phik(k, x)  # phi tracked alongside phik
-    model = stationarity_model(kern, x, k, cfg.eps_act)
     steps = 0
-    for _ in range(cfg.polish_rounds):
-        if model.value <= cfg.stat_tol:
+    for _ in range(POLISH_ROUNDS):
+        if model.value <= STAT_TOL:
             break
         dhat = -model.minnorm.point / model.value
         shift = x - kern.xbar
@@ -382,11 +359,11 @@ def solve_subproblem(kern: ProblemKernel, k: float, cfg: PenaltyConfig | None = 
     total = 0
     rounds = 0
     halted_any = False
-    c = cfg.delta * cfg.step_frac
+    c = cfg.delta * STEP_FRAC
     c_floor = 1e-13 * max(1.0, float(np.max(np.abs(kern.xbar))) if n else 1.0)
 
-    while stat > cfg.stat_tol and total < cfg.inner_cap and c >= c_floor:
-        L = min(cfg.round_len, cfg.inner_cap - total)
+    while stat > STAT_TOL and total < INNER_CAP and c >= c_floor:
+        L = min(ROUND_LEN, INNER_CAP - total)
         x_io = best_x.copy()
         x_round_best = np.empty(n)
         x_avg = np.empty(n)
@@ -408,12 +385,12 @@ def solve_subproblem(kern: ProblemKernel, k: float, cfg: PenaltyConfig | None = 
                 best_x, best_phi, best_phik = xc.copy(), phi_c, phik_c
         model = stationarity_model(kern, best_x, k, cfg.eps_act)
         stat = model.value
-        c *= cfg.step_shrink
+        c *= STEP_SHRINK
 
     polish_steps = 0
-    if stat > cfg.stat_tol and cfg.polish_rounds > 0:
+    if stat > STAT_TOL:
         best_x, best_phi, best_phik, model, polish_steps = _polish(
-            kern, k, best_x, best_phik, cfg,
+            kern, k, best_x, best_phi, best_phik, model, cfg,
         )
         stat = model.value
 
@@ -445,13 +422,13 @@ def extract_multipliers(kern: ProblemKernel, x, k: float,
     xa = np.asarray(x, dtype=np.float64)
     k = float(k)
     model = stationarity_model(kern, xa, k, eps_act)
+    gvals, hvals = constraint_values(pr, xa)
     mu = np.empty(pr.m)
-    for i, gfn in enumerate(pr.inequalities):
-        mu[i] = k * max(gfn.value(xa), 0.0)
+    for i, gv in enumerate(gvals):
+        mu[i] = k * max(gv, 0.0)
     tau = np.empty(pr.r)
     sigma = []
-    for j, h in enumerate(pr.equalities):
-        hv = eval_value(h, xa)
+    for j, hv in enumerate(hvals):
         tau[j] = k * hv
         sigma.append(1.0 if hv >= 0.0 else -1.0)
     mult = MultiplierTriple(lam=model.lam, mu=mu, tau=tau, a2_normalized=True)
@@ -489,14 +466,20 @@ class PenaltySequence:
     records: tuple
 
 
-def _e2_values(pr: Problem, x, fbar, mult: MultiplierTriple) -> tuple:
-    """f_l(x) - f_l(xbar) + (1/2)[sum_i mu_i g_i(x) + sum_j tau_j h_j(x)]
-    per objective; the penalty construction keeps every entry <= 0."""
-    comp = 0.0
-    for i, gfn in enumerate(pr.inequalities):
-        comp += float(mult.mu[i]) * gfn.value(x)
-    for j, h in enumerate(pr.equalities):
-        comp += float(mult.tau[j]) * eval_value(h, x)
+def complementarity(mult: MultiplierTriple, gvals, hvals) -> tuple[list[float], float]:
+    """The terms mu_i g_i(x), then tau_j h_j(x), from constraint values
+    at x, and their sum accumulated left to right."""
+    terms = [float(mult.mu[i]) * v for i, v in enumerate(gvals)]
+    terms += [float(mult.tau[j]) * v for j, v in enumerate(hvals)]
+    total = 0.0
+    for term in terms:
+        total += term
+    return terms, total
+
+
+def e2_values(pr: Problem, x, fbar, comp: float) -> tuple:
+    """f_l(x) - f_l(xbar) + comp/2 per objective, comp the complementarity
+    sum at x; the penalty construction keeps every entry <= 0."""
     return tuple(f.value(x) - float(fbar[l]) + 0.5 * comp
                  for l, f in enumerate(pr.objectives))
 
@@ -506,13 +489,13 @@ def generate_akkt_sequence(pr: Problem, xbar, cfg: PenaltyConfig | None = None) 
 
     xbar must be feasible to within 1e-8 aggregate violation.  The
     schedule truncates once the sign-branched residual drops below
-    cfg.residual_stop.  A DomainError during an inner solve produces a
+    RESIDUAL_STOP.  A DomainError during an inner solve produces a
     flagged record (kept in the output) and the path continues from the
     last successful iterate.
     """
     if cfg is None:
         cfg = PenaltyConfig()
-    kern = build_kernel(pr, xbar)
+    kern = ProblemKernel(pr, xbar)
     feas0 = feasibility_violation(pr, kern.xbar)
     if feas0.aggregate > FEASIBILITY_TOL:
         raise ValueError(
@@ -538,6 +521,7 @@ def generate_akkt_sequence(pr: Problem, xbar, cfg: PenaltyConfig | None = None) 
         mult, sigma, model = extract_multipliers(kern, inner.x, k, cfg.eps_act)
         res, _, _ = residual_m_detail(pr, inner.x, mult, cfg.eps_act, "general")
         res_p, _, _ = residual_m_detail(pr, inner.x, mult, cfg.eps_act, "prime")
+        _, comp = complementarity(mult, *constraint_values(pr, inner.x))
         rec = SequenceRecord(
             k=float(k),
             x=inner.x.copy(),
@@ -548,7 +532,7 @@ def generate_akkt_sequence(pr: Problem, xbar, cfg: PenaltyConfig | None = None) 
             stationarity=inner.stationarity,
             phi=inner.phi,
             phi_k=inner.phi_k,
-            e2=_e2_values(pr, inner.x, kern.fbar, mult),
+            e2=e2_values(pr, inner.x, kern.fbar, comp),
             feasibility=feasibility_violation(pr, inner.x),
             iterations=inner.iterations,
             flagged=False,
@@ -556,7 +540,7 @@ def generate_akkt_sequence(pr: Problem, xbar, cfg: PenaltyConfig | None = None) 
         )
         records.append(rec)
         x_warm = inner.x
-        if res <= cfg.residual_stop:
+        if res <= RESIDUAL_STOP:
             break
     return PenaltySequence(
         problem=pr, xbar=kern.xbar, fbar=kern.fbar, config=cfg,

@@ -15,12 +15,12 @@ constraints are restricted to a single smooth piece.  The JSON schema:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expr import Expr, ParseError, parse_expr, unparse
-from .tape import _check_point, eval_grad, eval_value
+from .tape import Tape, _check_point, compile_tape, eval_grad, eval_tapes
 
 
 class ProblemFormatError(ValueError):
@@ -29,24 +29,37 @@ class ProblemFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PiecewiseMaxFn:
-    """Pointwise max of smooth pieces, with a user-asserted convexity flag."""
+    """Pointwise max of smooth pieces, with a user-asserted convexity flag.
+
+    The piece tapes are compiled once, at construction; every evaluation
+    runs them through `eval_tapes`.
+    """
 
     pieces: tuple[Expr, ...]
     label: str = ""
     convex: bool = False
+    tapes: tuple[Tape, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tapes", tuple(compile_tape(p) for p in self.pieces))
 
     def value(self, x) -> float:
-        return max(eval_value(piece, x) for piece in self.pieces)
+        return max(eval_tapes(self.tapes, x)[0])
 
     def value_and_gradients(self, x) -> tuple[float, list[float], list[np.ndarray]]:
         """Returns (max value, piece values, piece gradients)."""
-        vals = []
-        grads = []
-        for piece in self.pieces:
-            v, g = eval_grad(piece, x)
-            vals.append(v)
-            grads.append(g)
+        vals, grads = eval_tapes(self.tapes, x)
         return max(vals), vals, grads
+
+    def max_piece(self, x) -> tuple[float, np.ndarray]:
+        """(value, gradient) of the strict-argmax piece at x: exact ties
+        keep the lowest piece index, the kernels' selection rule."""
+        vals, grads = eval_tapes(self.tapes, x)
+        jb = 0
+        for j in range(1, len(vals)):
+            if vals[j] > vals[jb]:
+                jb = j
+        return vals[jb], grads[jb]
 
 
 @dataclass(frozen=True)
@@ -79,14 +92,21 @@ class FeasibilityReport:
     aggregate: float  # max of the two
 
 
-def feasibility_violation(pr: Problem, x) -> FeasibilityReport:
+def constraint_values(pr: Problem, x) -> tuple[list[float], list[float]]:
+    """(g_i(x) per inequality, h_j(x) per equality), in problem order."""
     xa = _check_point(x)
+    return ([g.value(xa) for g in pr.inequalities],
+            [eval_grad(h, xa)[0] for h in pr.equalities])
+
+
+def feasibility_violation(pr: Problem, x) -> FeasibilityReport:
+    gvals, hvals = constraint_values(pr, x)
     ineq = 0.0
-    for g in pr.inequalities:
-        ineq = max(ineq, g.value(xa), 0.0)
+    for v in gvals:
+        ineq = max(ineq, v, 0.0)
     eq = 0.0
-    for h in pr.equalities:
-        eq = max(eq, abs(eval_value(h, xa)))
+    for v in hvals:
+        eq = max(eq, abs(v))
     return FeasibilityReport(ineq=ineq, eq=eq, aggregate=max(ineq, eq))
 
 

@@ -126,7 +126,11 @@ def eval_grad(e: Expr, x) -> tuple[float, np.ndarray]:
     ValueError on a dimension mismatch or non-finite input.
     """
     xa = _check_point(x)
-    tape = compile_tape(e)
+    return _run(compile_tape(e), xa)
+
+
+def _run(tape: Tape, xa: np.ndarray) -> tuple[float, np.ndarray]:
+    """Evaluate a compiled tape at a point already passed by _check_point."""
     if tape.n_min > xa.size:
         raise ValueError(
             f"expression uses x{tape.n_min - 1} but the point has dimension {xa.size}"
@@ -140,6 +144,17 @@ def eval_grad(e: Expr, x) -> tuple[float, np.ndarray]:
     return value, grad
 
 
+def eval_tapes(tapes, x) -> tuple[list[float], list[np.ndarray]]:
+    """Values and gradients of precompiled tapes at x, in order.
+
+    The point is checked once for all tapes; results and errors are
+    those of `eval_grad` on each source expression in turn.
+    """
+    xa = _check_point(x)
+    out = [_run(tape, xa) for tape in tapes]
+    return [v for v, _ in out], [g for _, g in out]
+
+
 def eval_value(e: Expr, x) -> float:
     return eval_grad(e, x)[0]
 
@@ -148,7 +163,8 @@ def eval_batch(e: Expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized values-only evaluation over rows of X (shape (m, n)).
 
     Returns (values, ok) where ok marks rows that evaluated cleanly;
-    rows violating a domain guard get ok=False instead of raising.
+    rows violating a domain guard or producing a non-finite intermediate
+    get ok=False instead of raising, as `eval_value` would raise there.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -205,9 +221,8 @@ def eval_batch(e: Expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 v = stack[-1]
                 ok &= v > 0.0
                 stack[-1] = np.sqrt(np.where(v > 0.0, v, 1.0))
-    values = stack[0]
-    ok &= np.isfinite(values)
-    return values, ok
+            ok &= np.isfinite(stack[-1])
+    return stack[0], ok
 
 
 @dataclass(frozen=True)

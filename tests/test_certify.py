@@ -18,8 +18,8 @@ from akkt.certify import (
 from akkt.minnorm import MultiplierTriple, residual_m
 from akkt.penalty import (
     PenaltyConfig,
+    ProblemKernel,
     SequenceRecord,
-    build_kernel,
     extract_multipliers,
     generate_akkt_sequence,
 )
@@ -56,7 +56,7 @@ class TestAkktConditions:
             assert not failing, (pr.name, failing)
 
     def test_constant_exact_sequence_holds_at_zero_tolerance(self, p2):
-        kern = build_kernel(p2, [0.5])
+        kern = ProblemKernel(p2, [0.5])
         records = []
         for k in (1.0, 2.0, 3.0):
             mult, sigma, _ = extract_multipliers(kern, np.array([0.5]), k)
@@ -186,7 +186,7 @@ class TestKktRecovery:
         assert rec.outcome == "inconclusive"
 
     def test_constant_kkt_sequence_recovers_itself(self, p2):
-        kern = build_kernel(p2, [0.5])
+        kern = ProblemKernel(p2, [0.5])
         records = []
         for k in (1.0, 2.0, 3.0):
             mult, sigma, _ = extract_multipliers(kern, np.array([0.5]), k)
@@ -259,6 +259,24 @@ class TestConvexCertificate:
         cert = certify_weak_efficiency_convex(p3, [0.5, 0.5], seq_p3.records)
         assert cert.certified
 
+    def test_eps_act_reaches_the_a1_residual(self):
+        pr = load_problem_dict({
+            "name": "abs", "n": 1,
+            "objectives": [{"pieces": ["x0", "-x0"], "convex": True}],
+            "inequalities": [], "equalities": [],
+        })
+        mult = MultiplierTriple(lam=[1.0], mu=[], tau=[], a2_normalized=True)
+        rec = record_at(pr, 1.0, [0.25], mult)
+        a1 = {}
+        for eps_act in (None, 1.0):
+            kwargs = {} if eps_act is None else {"eps_act": eps_act}
+            cert = certify_weak_efficiency_convex(pr, [0.0], [rec], **kwargs)
+            a1[eps_act] = next(
+                v for v in cert.verdicts if v.condition == "A1").evidence["last"]
+        # the pieces differ by 0.5 at x = 0.25: only eps_act = 1 sees the kink
+        assert a1[None] == pytest.approx(1.0)
+        assert a1[1.0] <= 1e-12
+
     def test_missing_convex_assertion_rejected(self, p4, seq_p4):
         with pytest.raises(ValueError, match="convex assertion"):
             certify_weak_efficiency_convex(p4, [0.0], seq_p4.records)
@@ -291,6 +309,19 @@ class TestConvexCertificate:
 
 
 class TestOracle:
+    def test_out_of_domain_grid_points_are_infeasible(self):
+        # exp(x0) overflows beyond x0 ~ 709.8, so 750 and 800 are out of
+        # domain although exp(-exp(x0)) - 1 reads -1 there in floating point
+        pr = load_problem_dict({
+            "name": "overflow", "n": 1,
+            "objectives": [{"pieces": ["-x0"], "convex": True}],
+            "inequalities": [{"pieces": ["exp(-exp(x0)) - 1"], "convex": False}],
+            "equalities": [],
+        })
+        res = weak_efficiency_oracle(pr, [700.0], [700.0], [800.0], step=50.0)
+        assert res.weakly_efficient
+        assert (res.points_checked, res.feasible_points) == (3, 1)
+
     def test_unique_feasible_point_is_efficient(self, p1):
         res = weak_efficiency_oracle(p1, [0.0], [-1.0], [1.0])
         assert res.weakly_efficient

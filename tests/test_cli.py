@@ -98,6 +98,12 @@ class TestCheckKkt:
         assert report["multipliers"]["lambda"] == pytest.approx([0.5, 0.5])
         # reports are canonical: sorted keys, two-space indent, newline
         assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert report["parameters"]["eps_act"] == 1e-6
+
+    def test_reports_the_eps_act_it_ran_with(self, capsys):
+        assert run(["check-kkt", P2, "--point", "0.5", "--eps-act", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parameters"]["eps_act"] == 0.0
 
 
 class TestPenalty:
@@ -201,6 +207,18 @@ class TestNumericalFailures:
         ppath = tmp_path / "guarded.json"
         save_problem(pr, ppath)
         assert run(["penalty", str(ppath), "--point", "0"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_oracle_domain_error_at_point_exits_three(self, tmp_path, capsys):
+        # DomainError is a ValueError: the oracle must not report it as usage
+        pr = load_problem_dict({
+            "name": "guarded", "n": 1,
+            "objectives": [{"pieces": ["log(x0)"], "convex": False}],
+            "inequalities": [], "equalities": [],
+        })
+        ppath = tmp_path / "guarded.json"
+        save_problem(pr, ppath)
+        assert run(["oracle", str(ppath), "--point", "0", "--box=0..1"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
 

@@ -9,7 +9,7 @@ from akkt.expr import DomainError
 from akkt.minnorm import residual_m
 from akkt.penalty import (
     PenaltyConfig,
-    build_kernel,
+    ProblemKernel,
     extract_multipliers,
     generate_akkt_sequence,
     geometric_schedule,
@@ -64,7 +64,7 @@ class TestConfig:
 
 class TestInnerSolve:
     def test_phi_k_closed_form(self, p1):
-        kern = build_kernel(p1, [0.0])
+        kern = ProblemKernel(p1, [0.0])
         # phi_k(x) = x + (k/2) x^4 + (1/2) x^2 for the scalar problem
         phi, phik = kern.eval_phik(2.0, np.array([-0.5]))
         assert phi == -0.5
@@ -72,50 +72,50 @@ class TestInnerSolve:
         assert kern.eval_phik(2.0, np.array([0.0])) == (0.0, 0.0)
 
     def test_scalar_minimizer_matches_grid_oracle(self, p1):
-        kern = build_kernel(p1, [0.0])
+        kern = ProblemKernel(p1, [0.0])
         for k in (1.0, 100.0, 1e4):
             inner = solve_subproblem(kern, k)
             assert abs(float(inner.x[0]) - p1_inner_oracle(k)) <= 1e-6
 
     def test_scalar_minimizer_at_unit_weight(self, p1):
-        kern = build_kernel(p1, [0.0])
+        kern = ProblemKernel(p1, [0.0])
         inner = solve_subproblem(kern, 1.0)
         assert float(inner.x[0]) == pytest.approx(-0.590, abs=1e-2)
 
     def test_large_weight_pins_near_base(self, p1):
-        kern = build_kernel(p1, [0.0])
+        kern = ProblemKernel(p1, [0.0])
         inner = solve_subproblem(kern, 1e6)
         assert abs(float(inner.x[0])) <= 1e-2
         assert float(inner.x[0]) < 0.0
 
     def test_smooth_unconstrained_hits_zero_exactly(self):
         pr = builtin("abs-biobjective")
-        kern = build_kernel(pr, [0.5])
+        kern = ProblemKernel(pr, [0.5])
         inner = solve_subproblem(kern, 1.0)
         assert inner.phi_k <= 0.0
 
     def test_never_worse_than_base(self, corpus):
         for pr, xbar, seq in corpus:
-            kern = build_kernel(pr, xbar)
+            kern = ProblemKernel(pr, xbar)
             inner = solve_subproblem(kern, 10.0)
             assert inner.phi_k <= 0.0
 
     def test_invalid_weight(self, p1):
-        kern = build_kernel(p1, [0.0])
+        kern = ProblemKernel(p1, [0.0])
         with pytest.raises(ValueError):
             solve_subproblem(kern, 0.0)
         with pytest.raises(ValueError):
             solve_subproblem(kern, math.inf)
 
     def test_bad_warm_start_shape(self, p1):
-        kern = build_kernel(p1, [0.0])
+        kern = ProblemKernel(p1, [0.0])
         with pytest.raises(ValueError):
             solve_subproblem(kern, 1.0, x_init=[0.0, 0.0])
 
 
 class TestExtractMultipliers:
     def test_inequality_weight(self, p1):
-        kern = build_kernel(p1, [0.0])
+        kern = ProblemKernel(p1, [0.0])
         mult, sigma, model = extract_multipliers(kern, np.array([-0.5]), 4.0)
         assert mult.mu[0] == 1.0          # 4 * max((-0.5)^2, 0)
         assert np.array_equal(mult.lam, [1.0])
@@ -123,20 +123,20 @@ class TestExtractMultipliers:
         assert sigma == ()
 
     def test_equality_weight_signed(self, p3):
-        kern = build_kernel(p3, [0.5, 0.5])
+        kern = ProblemKernel(p3, [0.5, 0.5])
         x = np.array([0.55, 0.55])
         mult, sigma, model = extract_multipliers(kern, x, 10.0)
         assert float(mult.tau[0]) == pytest.approx(1.0, rel=1e-12)
         assert sigma == (1.0,)
 
     def test_feasible_point_gives_zero_constraint_weights(self, p3):
-        kern = build_kernel(p3, [0.5, 0.5])
+        kern = ProblemKernel(p3, [0.5, 0.5])
         mult, sigma, model = extract_multipliers(kern, np.array([0.5, 0.5]), 100.0)
         assert float(mult.tau[0]) == 0.0
         assert sigma == (1.0,)            # zero takes the + branch
 
     def test_lambda_is_normalized(self, p3):
-        kern = build_kernel(p3, [0.5, 0.5])
+        kern = ProblemKernel(p3, [0.5, 0.5])
         mult, _, _ = extract_multipliers(kern, np.array([0.4, 0.45]), 10.0)
         assert float(mult.lam.sum()) == pytest.approx(1.0, abs=1e-9)
         assert np.all(mult.lam >= 0)
@@ -151,7 +151,7 @@ class TestSequence:
 
     def test_truncation_happens_below_stop(self, seq_p2):
         assert len(seq_p2.records) == 1
-        assert seq_p2.records[0].residual <= seq_p2.config.residual_stop
+        assert seq_p2.records[0].residual <= penalty_mod.RESIDUAL_STOP
 
     def test_all_records_clean(self, corpus):
         for pr, xbar, seq in corpus:
@@ -172,7 +172,7 @@ class TestSequence:
 
     def test_lambda_supported_on_near_best_objectives(self, corpus):
         for pr, xbar, seq in corpus:
-            kern = build_kernel(pr, xbar)
+            kern = ProblemKernel(pr, xbar)
             for rec in seq.records:
                 gaps = [f.value(rec.x) - float(kern.fbar[l])
                         for l, f in enumerate(pr.objectives)]

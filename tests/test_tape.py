@@ -1,0 +1,87 @@
+"""Tape evaluation paths: scalar helpers, precompiled pieces, batch rows.
+
+Nothing here needs the compiled extension, so these checks run on
+whichever backend is active.
+"""
+import numpy as np
+import pytest
+
+from akkt.expr import DomainError, parse_expr
+from akkt.problem import PiecewiseMaxFn
+from akkt.tape import compile_tape, eval_batch, eval_grad, eval_value
+
+from _synthetic import random_expr_text, random_point
+
+
+def test_eval_helpers_agree_with_python_kernel():
+    rng = np.random.default_rng(78)
+    for _ in range(10):
+        n = int(rng.integers(1, 3))
+        e = parse_expr(random_expr_text(rng, n), n)
+        x = random_point(rng, n)
+        v, g = eval_grad(e, x)
+        assert v == eval_value(e, x)
+        assert np.all(np.isfinite(g))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestPrecompiledPieces:
+    def test_bitwise_equal_to_eval_grad_without_cache_lookups(self):
+        rng = np.random.default_rng(79)
+        for _ in range(25):
+            n = int(rng.integers(1, 4))
+            pieces = tuple(parse_expr(random_expr_text(rng, n), n)
+                           for _ in range(int(rng.integers(1, 4))))
+            fn = PiecewiseMaxFn(pieces=pieces)
+            x = random_point(rng, n)
+            before = compile_tape.cache_info()
+            vmax, vals, grads = fn.value_and_gradients(x)
+            value = fn.value(x)
+            sel_value, sel_grad = fn.max_piece(x)
+            assert compile_tape.cache_info() == before
+            ref = [eval_grad(piece, x) for piece in pieces]
+            assert _bits(vals) == _bits([v for v, _ in ref])
+            for g, (_, g_ref) in zip(grads, ref):
+                assert _bits(g) == _bits(g_ref)
+            assert _bits(value) == _bits(vmax) == _bits(max(v for v, _ in ref))
+            first = [v for v, _ in ref].index(vmax)
+            assert _bits(sel_value) == _bits(vmax)
+            assert _bits(sel_grad) == _bits(ref[first][1])
+
+    def test_same_domain_error_as_eval_grad(self):
+        pieces = tuple(parse_expr(t, 2) for t in ("x0 + x1", "log(x0 - 1)", "sqrt(x1 - 3)"))
+        fn = PiecewiseMaxFn(pieces=pieces)
+        for x in ([0.0, 5.0], [2.0, 0.0]):
+            with pytest.raises(DomainError) as ref:
+                for piece in pieces:
+                    eval_grad(piece, x)
+            for method in (fn.value, fn.value_and_gradients, fn.max_piece):
+                with pytest.raises(DomainError) as got:
+                    method(x)
+                assert str(got.value) == str(ref.value)
+
+    def test_bad_point_rejected_like_eval_grad(self):
+        fn = PiecewiseMaxFn(pieces=(parse_expr("x0", 1),))
+        with pytest.raises(ValueError, match="non-finite"):
+            fn.value([float("nan")])
+
+    def test_selection_keeps_lowest_index_on_ties(self):
+        for texts, grad in ((("x0", "x1"), [1.0, 0.0]), (("x1", "x0"), [0.0, 1.0])):
+            fn = PiecewiseMaxFn(pieces=tuple(parse_expr(t, 2) for t in texts))
+            value, g = fn.max_piece([1.0, 1.0])
+            assert value == 1.0
+            assert g.tolist() == grad
+
+
+class TestBatch:
+    @pytest.mark.parametrize("text", ["1/exp(x0)", "exp(-exp(x0))"])
+    def test_nonfinite_intermediate_flags_the_row(self, text):
+        e = parse_expr(text, 1)
+        with pytest.raises(DomainError, match="non-finite"):
+            eval_value(e, [800.0])
+        vals, ok = eval_batch(e, np.array([[800.0], [0.5]]))
+        assert ok.tolist() == [False, True]
+        assert vals[1] == pytest.approx(eval_value(e, [0.5]), rel=1e-12)

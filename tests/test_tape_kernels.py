@@ -7,9 +7,9 @@ import pytest
 from akkt import _kernels_py
 from akkt.backend import BACKEND
 from akkt.expr import parse_expr
-from akkt.penalty import build_kernel
+from akkt.penalty import ProblemKernel
 from akkt.problem import builtin
-from akkt.tape import bundle_tapes, compile_tape, eval_grad, eval_value
+from akkt.tape import bundle_tapes, compile_tape
 
 from _synthetic import random_expr_text, random_point
 
@@ -41,7 +41,7 @@ def test_backend_selection():
 
 @pytest.mark.parametrize("name,xbar,xa,xb", CASES)
 def test_eval_phi_k_parity(name, xbar, xa, xb):
-    kern = build_kernel(builtin(name), xbar)
+    kern = ProblemKernel(builtin(name), xbar)
     for k in (1.0, 100.0, 1e6):
         for x in (xbar, xa, xb):
             got_c = compiled.eval_phi_k(*_phi_k_args(kern, k, x))
@@ -51,7 +51,7 @@ def test_eval_phi_k_parity(name, xbar, xa, xb):
 
 @pytest.mark.parametrize("name,xbar,xa,xb", CASES)
 def test_subgrad_round_trajectory_parity(name, xbar, xa, xb):
-    kern = build_kernel(builtin(name), xbar)
+    kern = ProblemKernel(builtin(name), xbar)
     b = kern.bundle
     n = kern.xbar.size
     for k, x0 in ((1.0, xa), (1e4, xb)):
@@ -92,14 +92,3 @@ def test_eval_tape_parity_on_random_expressions():
             results.append((tuple(out), grad.copy()))
         assert results[0][0] == results[1][0]
         assert np.array_equal(results[0][1], results[1][1])
-
-
-def test_eval_helpers_agree_with_python_kernel():
-    rng = np.random.default_rng(78)
-    for _ in range(10):
-        n = int(rng.integers(1, 3))
-        e = parse_expr(random_expr_text(rng, n), n)
-        x = random_point(rng, n)
-        v, g = eval_grad(e, x)
-        assert v == eval_value(e, x)
-        assert np.all(np.isfinite(g))
