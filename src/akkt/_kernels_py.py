@@ -1,10 +1,6 @@
-"""Pure-Python tape interpreter and inner-loop kernels.
-
-Reference twin of the compiled `_kernels` extension: identical function
-signatures, identical operation order, plain floats and `math` calls so
-both backends share IEEE semantics.  Status codes: 0 ok, 1 division by
-zero, 2 log domain, 3 sqrt domain, 4 zero base with negative exponent,
-5 non-finite value.
+"""Tape interpreter and inner-loop kernels, on plain floats and `math`
+calls.  Status codes: 0 ok, 1 division by zero, 2 log domain, 3 sqrt
+domain, 4 zero base with negative exponent, 5 non-finite value.
 """
 
 from __future__ import annotations
@@ -237,7 +233,8 @@ def _phik_at(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x, 
 
 
 def eval_phi_k(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x, max_stack):
-    """Returns (status, bad_instr, phi, phi_k) at the point x."""
+    """Returns (status, bad_instr, phi, phi_k, d) at the point x, with d
+    the one-selection subgradient of phi_k there (a list of n floats)."""
     n = len(x)
     T = len(starts) - 1
     xl = [float(v) for v in x]
@@ -246,11 +243,12 @@ def eval_phi_k(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x
     values = [0.0] * T
     grads = [[0.0] * n for _ in range(T)]
     d = [0.0] * n
-    return _phik_at(
+    status, bad, phi, phik = _phik_at(
         ops.tolist(), arg.tolist(), consts.tolist(), starts.tolist(),
         obj_ps.tolist(), ineq_ps.tolist(), int(n_eq), fbar.tolist(), xbar.tolist(),
         float(k), xl, n, vs, gs, values, grads, d,
     )
+    return status, bad, phi, phik, d
 
 
 def subgrad_round(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,

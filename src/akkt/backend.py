@@ -1,22 +1,4 @@
-"""Kernel backend selection.
+# perfbench's tracer patches `kernels` here, and compare.py refuses results whose BACKEND differs.
+from . import _kernels_py as kernels  # noqa: F401
 
-Prefers the compiled Cython extension; falls back to the pure-Python
-twin when the extension is missing or AKKT_PURE_PYTHON is set.  Both
-expose the same functions, so callers use `backend.kernels` blindly.
-"""
-
-import os
-
-if os.environ.get("AKKT_PURE_PYTHON"):
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as kernels
-
-        BACKEND = "python"
+BACKEND = "python"

@@ -18,7 +18,8 @@ import numpy as np
 
 from .problem import Problem
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
-from .tape import _check_point, eval_grad
+from .tape import _check_point, eval_tapes
+from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 WOLFE_TOL = 1e-10
 MAX_SIGN_BRANCHES = 12
@@ -239,7 +240,7 @@ def residual_m_detail(pr: Problem, x, mult: MultiplierTriple,
         if mu > 0.0:
             factors.append((mu, subdifferential(gfn, xa, eps_act).generators))
 
-    grads_h = [eval_grad(h, xa)[1] for h in pr.equalities]
+    grads_h = eval_tapes(pr.eq_tapes, xa)[1]
 
     def branch_factors(signs):
         branch = list(factors)

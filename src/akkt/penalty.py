@@ -36,14 +36,8 @@ from .backend import kernels
 from .minnorm import MinNormResult, MultiplierTriple, min_norm_point, residual_m_detail
 from .problem import FeasibilityReport, Problem, constraint_values, feasibility_violation
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
-from .tape import (
-    STATUS_MESSAGES,
-    DomainError,
-    bundle_tapes,
-    compile_tape,
-    eval_grad,
-    locate_bundle_error,
-)
+from .tape import STATUS_MESSAGES, DomainError, bundle_tapes, eval_tapes, locate_bundle_error
+from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 FEASIBILITY_TOL = 1e-8
 INNER_CAP = 5000        # total inner iterations per k
@@ -112,8 +106,7 @@ class ProblemKernel:
         for gfn in pr.inequalities:
             tapes.extend(gfn.tapes)
             ineq_ps.append(len(tapes))
-        for h in pr.equalities:
-            tapes.append(compile_tape(h))
+        tapes.extend(pr.eq_tapes)
         self.pr = pr
         self.xbar = xb
         self.bundle = bundle_tapes(tapes)
@@ -126,22 +119,28 @@ class ProblemKernel:
         self.fbar = fbar
 
     def _raise_domain(self, status: int, bad: int):
-        raise DomainError(
-            f"{STATUS_MESSAGES.get(status, 'evaluation error')} in "
-            f"'{locate_bundle_error(self.bundle, bad)}'"
-        )
+        raise DomainError(STATUS_MESSAGES[status], locate_bundle_error(self.bundle, bad))
 
-    def eval_phik(self, k: float, x) -> tuple[float, float]:
-        """(phi(x), phi_k(x)); raises DomainError on guard violations."""
+    def _phi_k(self, k: float, x):
         b = self.bundle
         xa = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-        status, bad, phi, phik = kernels.eval_phi_k(
+        status, bad, phi, phik, d = kernels.eval_phi_k(
             b.ops, b.arg, b.consts, b.starts, self.obj_ps, self.ineq_ps,
             self.n_eq, self.fbar, self.xbar, float(k), xa, b.max_stack,
         )
         if status:
             self._raise_domain(status, bad)
-        return phi, phik
+        return phi, phik, d
+
+    def eval_phik(self, k: float, x) -> tuple[float, float]:
+        """(phi(x), phi_k(x)); raises DomainError on guard violations."""
+        return self._phi_k(k, x)[:2]
+
+    def subgradient(self, k: float, x) -> np.ndarray:
+        """The kernel's one-selection subgradient of phi_k at x: strict
+        argmax pieces, so exact ties keep the lowest piece index.  Raises
+        DomainError on guard violations."""
+        return np.asarray(self._phi_k(k, x)[2])
 
     def subgrad_round(self, k: float, delta: float, c: float, L: int,
                       tail_from: int, x_io, x_best_out, x_avg_out):
@@ -206,8 +205,7 @@ def stationarity_model(kern: ProblemKernel, x, k: float,
         sd = subdifferential(gfn, xa, eps_act)
         if sd.value > 0.0:
             factors.append((k * sd.value, sd.generators))
-    for h in pr.equalities:
-        hv, hg = eval_grad(h, xa)
+    for hv, hg in zip(*eval_tapes(pr.eq_tapes, xa)):
         if hv != 0.0:
             sigma = 1.0 if hv >= 0.0 else -1.0
             factors.append((k * abs(hv), (sigma * hg)[None, :]))
@@ -221,29 +219,6 @@ def stationarity_model(kern: ProblemKernel, x, k: float,
     if s > 0:
         lam = lam / s
     return StationarityModel(value=res.norm, lam=lam, minnorm=res)
-
-
-def _one_selection_subgradient(kern: ProblemKernel, k: float, x) -> np.ndarray:
-    """Single-selection subgradient of phi_k at x, matching the kernel's
-    tie-breaking (strict argmax keeps the lowest piece index)."""
-    pr = kern.pr
-    phi = -math.inf
-    d = None
-    for l, fobj in enumerate(pr.objectives):
-        v, g = fobj.max_piece(x)
-        fl = v - float(kern.fbar[l])
-        if fl > phi:
-            phi = fl
-            d = g
-    for gfn in pr.inequalities:
-        v, g = gfn.max_piece(x)
-        if v > 0.0:
-            d += (k * v) * g
-    for h in pr.equalities:
-        hv, hg = eval_grad(h, x)
-        d += (k * hv) * hg
-    d += x - kern.xbar
-    return d
 
 
 def _polish(kern: ProblemKernel, k: float, x, phi: float, phik: float,
@@ -269,7 +244,7 @@ def _polish(kern: ProblemKernel, k: float, x, phi: float, phik: float,
 
         def deriv(t: float) -> float:
             try:
-                return float(_one_selection_subgradient(kern, k, x + t * dhat) @ dhat)
+                return float(kern.subgradient(k, x + t * dhat) @ dhat)
             except DomainError:
                 return math.inf  # out of domain: pull the bracket back
 

@@ -2,10 +2,11 @@
 
 A tape is a postorder opcode array interpreted by a stack machine that
 carries (value, gradient) pairs, so one sweep yields the exact analytic
-gradient.  Two interchangeable interpreters exist: a compiled Cython
-kernel and a pure-Python twin (see `backend`).  Domain guards (division
-by zero, log/sqrt of non-positive arguments, 0^negative, any non-finite
-intermediate) abort evaluation and name the offending subexpression.
+gradient.  The stack machine is `_kernels_py` (bound as
+`backend.kernels`); `eval_batch` runs a values-only numpy version over
+rows.  Domain guards (division by zero, log/sqrt of non-positive
+arguments, 0^negative, any non-finite intermediate) abort evaluation
+and name the offending subexpression.
 """
 
 from __future__ import annotations

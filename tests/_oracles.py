@@ -4,13 +4,16 @@ These share no code with the package's own solvers: the min-norm oracle
 enumerates faces of the feasible product of simplices and solves exact
 equality-constrained systems; the inner-solver oracle is a 1-D grid scan
 refined by bisection on an explicit derivative; the gradient oracle is a
-central finite difference.
+central finite difference.  The one-selection subgradient reference
+evaluates phi_k piece by piece through the scalar tape path instead of
+the kernel's single pass over the bundled tapes.
 """
 import itertools
+import math
 
 import numpy as np
 
-from akkt.tape import eval_value
+from akkt.tape import eval_grad, eval_value
 
 
 def min_norm_oracle(factors):
@@ -94,3 +97,27 @@ def central_fd_gradient(expr, x, step: float = 1e-6) -> np.ndarray:
         lo[i] -= step
         out[i] = (eval_value(expr, hi) - eval_value(expr, lo)) / (2.0 * step)
     return out
+
+
+def one_selection_subgradient(kern, k: float, x) -> np.ndarray:
+    """Single-selection subgradient of phi_k at x from per-function
+    evaluations, with the kernel's tie-breaking (strict argmax keeps the
+    lowest piece index, then the lowest objective index)."""
+    pr = kern.pr
+    phi = -math.inf
+    d = None
+    for l, fobj in enumerate(pr.objectives):
+        v, g = fobj.max_piece(x)
+        fl = v - float(kern.fbar[l])
+        if fl > phi:
+            phi = fl
+            d = g
+    for gfn in pr.inequalities:
+        v, g = gfn.max_piece(x)
+        if v > 0.0:
+            d += (k * v) * g
+    for h in pr.equalities:
+        hv, hg = eval_grad(h, x)
+        d += (k * hv) * hg
+    d += x - kern.xbar
+    return d

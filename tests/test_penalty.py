@@ -17,10 +17,11 @@ from akkt.penalty import (
     sequence_to_csv,
     solve_subproblem,
 )
-from akkt.problem import builtin, feasibility_violation
+from akkt.problem import builtin, feasibility_violation, load_problem_dict
 from akkt.tape import eval_value
 
-from _oracles import p1_inner_oracle
+from _oracles import one_selection_subgradient, p1_inner_oracle
+from _synthetic import random_point, random_problem
 
 
 class TestSchedule:
@@ -111,6 +112,67 @@ class TestInnerSolve:
         kern = ProblemKernel(p1, [0.0])
         with pytest.raises(ValueError):
             solve_subproblem(kern, 1.0, x_init=[0.0, 0.0])
+
+
+class TestKernelSubgradient:
+    CASES = [
+        ("mangasarian", [0.0], [0.3], [-0.7]),
+        ("abs-biobjective", [0.5], [0.0], [1.2]),
+        ("linear-tradeoff", [0.5, 0.5], [0.2, 0.9], [-0.3, 0.4]),
+        ("nonconvex-max", [0.0], [0.5], [-0.5]),
+    ]
+
+    @pytest.mark.parametrize("name,xbar,xa,xb", CASES)
+    def test_bitwise_equal_to_reference_on_catalog(self, name, xbar, xa, xb):
+        kern = ProblemKernel(builtin(name), xbar)
+        for k in (1.0, 100.0, 1e6):
+            for x in (xbar, xa, xb):
+                x = np.array(x)
+                ref = one_selection_subgradient(kern, k, x)
+                assert kern.subgradient(k, x).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name,xbar", [("abs-biobjective", [0.5]),
+                                           ("nonconvex-max", [0.0])])
+    def test_tie_at_zero_keeps_lowest_index(self, name, xbar):
+        # abs-biobjective: both objective gaps are 0 at xbar; nonconvex-max:
+        # the pieces x0 and -2*x0 are both 0.  The first gradient is +1.
+        kern = ProblemKernel(builtin(name), xbar)
+        assert kern.subgradient(1.0, xbar).tolist() == [1.0]
+
+    def test_bitwise_equal_to_reference_with_equalities(self):
+        rng = np.random.default_rng(80)
+        for _ in range(20):
+            pr = random_problem(rng, r_min=1)
+            kern = ProblemKernel(pr, random_point(rng, pr.n))
+            for k in (1.0, 1e2, 1e6):
+                x = random_point(rng, pr.n)
+                ref = one_selection_subgradient(kern, k, x)
+                assert kern.subgradient(k, x).tobytes() == ref.tobytes()
+
+    def test_polish_stops_when_the_line_search_leaves_the_domain(self):
+        pr = load_problem_dict({"name": "log", "n": 1,
+                                "objectives": [{"pieces": ["log(x0)"]}]})
+        kern = ProblemKernel(pr, [0.5])
+        cfg = PenaltyConfig()
+        misses = []
+        subgradient = kern.subgradient
+
+        def counting(k, x):
+            try:
+                return subgradient(k, x)
+            except DomainError:
+                misses.append(float(x[0]))
+                raise
+
+        kern.subgradient = counting
+        x0 = kern.xbar.copy()
+        phi, phik = kern.eval_phik(1.0, x0)
+        model = penalty_mod.stationarity_model(kern, x0, 1.0)
+        x, _, phik_new, _, steps = penalty_mod._polish(kern, 1.0, x0, phi, phik, model, cfg)
+        assert min(misses) < 0.0   # the bracket reached past log's domain
+        assert steps >= 1
+        assert 0.0 < float(x[0]) < 0.5
+        assert phik_new < phik
 
 
 class TestExtractMultipliers:

@@ -1,13 +1,13 @@
-"""Tape evaluation paths: scalar helpers, precompiled pieces, batch rows.
-
-Nothing here needs the compiled extension, so these checks run on
-whichever backend is active.
-"""
+"""Tape evaluation paths: scalar helpers, precompiled pieces and
+equalities, batch rows."""
 import numpy as np
 import pytest
 
+from akkt.certify import certify_weak_efficiency_convex, check_kkt, check_qncq_sufficient
 from akkt.expr import DomainError, parse_expr
-from akkt.problem import PiecewiseMaxFn
+from akkt.minnorm import MultiplierTriple, residual_m_detail
+from akkt.penalty import ProblemKernel, stationarity_model
+from akkt.problem import PiecewiseMaxFn, constraint_values, load_problem_dict
 from akkt.tape import compile_tape, eval_batch, eval_grad, eval_value
 
 from _synthetic import random_expr_text, random_point
@@ -74,6 +74,43 @@ class TestPrecompiledPieces:
             value, g = fn.max_piece([1.0, 1.0])
             assert value == 1.0
             assert g.tolist() == grad
+
+
+class TestPrecompiledEqualities:
+    def test_no_cache_lookups(self, p3, seq_p3):
+        kern = ProblemKernel(p3, [0.5, 0.5])
+        x = np.array([0.2, 0.9])
+        mult = MultiplierTriple(lam=np.array([0.5, 0.5]), mu=np.zeros(0),
+                                tau=np.array([3.0]))
+        before = compile_tape.cache_info()
+        constraint_values(p3, x)
+        stationarity_model(kern, x, 10.0)
+        residual_m_detail(p3, x, mult, mode="general")
+        check_kkt(p3, [0.5, 0.5])
+        check_qncq_sufficient(p3, [0.5, 0.5])
+        certify_weak_efficiency_convex(p3, [0.5, 0.5], seq_p3.records)
+        assert compile_tape.cache_info() == before
+
+    def test_same_errors_as_eval_grad(self):
+        texts = ["x0 + x1", "log(x0 - 1)"]
+        pr = load_problem_dict({"name": "eq", "n": 2,
+                                "objectives": [{"pieces": ["x0"]}],
+                                "equalities": texts})
+        hs = [parse_expr(t, 2) for t in texts]
+        for x, exc, h in (([0.0, 5.0], DomainError, hs[1]),
+                          ([3.0], ValueError, hs[0]),
+                          ([float("nan"), 0.0], ValueError, hs[0])):
+            with pytest.raises(exc) as ref:
+                eval_grad(h, x)
+            with pytest.raises(exc) as got:
+                constraint_values(pr, x)
+            assert str(got.value) == str(ref.value)
+        kern = ProblemKernel(pr, [2.0, -2.0])
+        with pytest.raises(DomainError) as got:
+            kern.eval_phik(1.0, [0.0, 5.0])
+        with pytest.raises(DomainError) as ref:
+            eval_grad(hs[1], [0.0, 5.0])
+        assert str(got.value) == str(ref.value)
 
 
 class TestBatch:
