@@ -1,6 +1,9 @@
 """Tape interpreter and inner-loop kernels, on plain floats and `math`
-calls.  Status codes: 0 ok, 1 division by zero, 2 log domain, 3 sqrt
-domain, 4 zero base with negative exponent, 5 non-finite value.
+calls.  Programs arrive as Python sequences of ints and floats (tape
+tuples, or the lists `ProblemKernel` concatenates once) and are read
+as they are; only the point is copied into a list per call.  Status
+codes: 0 ok, 1 division by zero, 2 log domain, 3 sqrt domain, 4 zero
+base with negative exponent, 5 non-finite value.
 """
 
 from __future__ import annotations
@@ -144,6 +147,13 @@ def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
     return 0, -1
 
 
+def _workspace(n, max_stack, T):
+    """Scratch of `_phik_at`: the value/gradient stack, per-tape values
+    and gradients, and the subgradient d."""
+    return ([0.0] * max_stack, [[0.0] * n for _ in range(max_stack)],
+            [0.0] * T, [[0.0] * n for _ in range(T)], [0.0] * n)
+
+
 def eval_tape(ops, arg, consts, start, end, x, grad_out, max_stack):
     """Evaluate one tape at x; writes the gradient into grad_out.
 
@@ -153,9 +163,7 @@ def eval_tape(ops, arg, consts, start, end, x, grad_out, max_stack):
     xl = [float(v) for v in x]
     vs = [0.0] * max_stack
     gs = [[0.0] * n for _ in range(max_stack)]
-    status, bad = _run_tape(
-        ops.tolist(), arg.tolist(), consts.tolist(), int(start), int(end), xl, n, vs, gs
-    )
+    status, bad = _run_tape(ops, arg, consts, start, end, xl, n, vs, gs)
     if status:
         return status, bad, 0.0
     for j in range(n):
@@ -236,17 +244,10 @@ def eval_phi_k(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x
     """Returns (status, bad_instr, phi, phi_k, d) at the point x, with d
     the one-selection subgradient of phi_k there (a list of n floats)."""
     n = len(x)
-    T = len(starts) - 1
-    xl = [float(v) for v in x]
-    vs = [0.0] * max_stack
-    gs = [[0.0] * n for _ in range(max_stack)]
-    values = [0.0] * T
-    grads = [[0.0] * n for _ in range(T)]
-    d = [0.0] * n
+    vs, gs, values, grads, d = _workspace(n, max_stack, len(starts) - 1)
     status, bad, phi, phik = _phik_at(
-        ops.tolist(), arg.tolist(), consts.tolist(), starts.tolist(),
-        obj_ps.tolist(), ineq_ps.tolist(), int(n_eq), fbar.tolist(), xbar.tolist(),
-        float(k), xl, n, vs, gs, values, grads, d,
+        ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
+        k, [float(v) for v in x], n, vs, gs, values, grads, d,
     )
     return status, bad, phi, phik, d
 
@@ -257,32 +258,14 @@ def subgrad_round(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
 
     Steps x <- Pi_ball(x - (c/sqrt(t)) d/||d||) for t = 1..L from x_io,
     tracking the best-by-value iterate and the average of the iterates
-    with t >= tail_from.  x_io carries the last iterate out.
+    with t >= tail_from.  x_io carries the last iterate out.  A zero
+    subgradient (exact stationarity) ends the round early with halted 1.
 
-    Returns (status, bad_instr, f_best, halted, n_done); halted means a
-    zero subgradient was hit (exact stationarity).
+    Returns (status, bad_instr, f_best, halted, n_done).
     """
     n = len(x_io)
-    T = len(starts) - 1
-    opsl = ops.tolist()
-    argl = arg.tolist()
-    constsl = consts.tolist()
-    startsl = starts.tolist()
-    obj_psl = obj_ps.tolist()
-    ineq_psl = ineq_ps.tolist()
-    fbarl = fbar.tolist()
-    xbarl = xbar.tolist()
-    k = float(k)
-    delta = float(delta)
-    c = float(c)
-    n_eq = int(n_eq)
-
     x = [float(v) for v in x_io]
-    vs = [0.0] * max_stack
-    gs = [[0.0] * n for _ in range(max_stack)]
-    values = [0.0] * T
-    grads = [[0.0] * n for _ in range(T)]
-    d = [0.0] * n
+    vs, gs, values, grads, d = _workspace(n, max_stack, len(starts) - 1)
     avg = [0.0] * n
     n_avg = 0
     f_best = float("inf")
@@ -292,8 +275,8 @@ def subgrad_round(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
 
     for t in range(1, L + 1):
         status, bad, phi, phik = _phik_at(
-            opsl, argl, constsl, startsl, obj_psl, ineq_psl, n_eq,
-            fbarl, xbarl, k, x, n, vs, gs, values, grads, d,
+            ops, arg, consts, starts, obj_ps, ineq_ps, n_eq,
+            fbar, xbar, k, x, n, vs, gs, values, grads, d,
         )
         if status:
             for j in range(n):
@@ -315,13 +298,13 @@ def subgrad_round(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
             x[j] = x[j] - step * d[j]
         r2 = 0.0
         for j in range(n):
-            dj = x[j] - xbarl[j]
+            dj = x[j] - xbar[j]
             r2 += dj * dj
         r = sqrt(r2)
         if r > delta:
             sc = delta / r
             for j in range(n):
-                x[j] = xbarl[j] + sc * (x[j] - xbarl[j])
+                x[j] = xbar[j] + sc * (x[j] - xbar[j])
         if t >= tail_from:
             for j in range(n):
                 avg[j] += x[j]

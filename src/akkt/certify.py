@@ -577,6 +577,8 @@ def weak_efficiency_oracle(pr: Problem, xbar, lo, hi, step: float = 1e-3) -> Ora
     xb = _check_point(xbar)
     lo_a = np.broadcast_to(np.asarray(lo, dtype=np.float64), (pr.n,)).copy()
     hi_a = np.broadcast_to(np.asarray(hi, dtype=np.float64), (pr.n,)).copy()
+    if not (np.all(np.isfinite(lo_a)) and np.all(np.isfinite(hi_a))):
+        raise ValueError("the grid box corners must be finite")
     if np.any(lo_a > xb) or np.any(hi_a < xb):
         raise ValueError("the grid box must contain the candidate point")
     if not (step > 0 and math.isfinite(step)):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -408,6 +409,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "csv", None) and args.command not in _SEQUENCE_COMMANDS:
         print(f"error: --csv is not supported by {args.command!r}", file=sys.stderr)
+        return EXIT_USAGE
+    tol = getattr(args, "tol", 0.0)
+    if not (tol >= 0 and math.isfinite(tol)):
+        print(f"error: --tol must be finite and >= 0, got {tol!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
         code, report, seq = _HANDLERS[args.command](args)

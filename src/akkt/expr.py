@@ -237,12 +237,3 @@ def unparse(e: Expr) -> str:
     if e.op in FUNCTIONS:
         return f"{e.op}({unparse(e.args[0])})"
     raise ValueError(f"unknown op {e.op!r}")
-
-
-def max_var_index(e: Expr) -> int:
-    """Largest variable index in the tree, -1 if constant."""
-    if e.op == "var":
-        return e.index
-    if not e.args:
-        return -1
-    return max(max_var_index(a) for a in e.args)

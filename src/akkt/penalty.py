@@ -28,15 +28,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backend import kernels
+from .expr import unparse
 from .minnorm import MinNormResult, MultiplierTriple, min_norm_point, residual_m_detail
 from .problem import FeasibilityReport, Problem, constraint_values, feasibility_violation
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
-from .tape import STATUS_MESSAGES, DomainError, bundle_tapes, eval_tapes, locate_bundle_error
+from .tape import OP_CONST, STATUS_MESSAGES, DomainError, eval_tapes
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 FEASIBILITY_TOL = 1e-8
@@ -83,13 +85,21 @@ class PenaltyConfig:
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("schedule must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
-        if self.eps_act < 0:
+        if not self.eps_act >= 0:
             raise ValueError("eps_act must be >= 0")
 
 
 class ProblemKernel:
-    """Tapes of one problem bundled for the evaluation kernels, anchored
-    at a base point xbar (objective offsets fbar are frozen at build)."""
+    """The tapes of one problem concatenated once into the flat program
+    the evaluation kernels read, anchored at a base point xbar
+    (objective offsets fbar are frozen at build).
+
+    The program is plain lists: opcodes, arguments with constant slots
+    re-based into one pool, the constant pool, the instruction start of
+    each tape, and the tape ranges of the objectives and inequalities;
+    the equality tapes come last.  `fbar` and `xbar` stay numpy for
+    callers; the kernels get list copies.
+    """
 
     def __init__(self, pr: Problem, xbar):
         xb = np.ascontiguousarray(np.asarray(xbar, dtype=np.float64))
@@ -107,26 +117,30 @@ class ProblemKernel:
             tapes.extend(gfn.tapes)
             ineq_ps.append(len(tapes))
         tapes.extend(pr.eq_tapes)
+        ops, arg, consts, starts = [], [], [], [0]
+        for t in tapes:
+            base = len(consts)
+            ops.extend(t.ops)
+            arg.extend(a + base if op == OP_CONST else a for op, a in zip(t.ops, t.arg))
+            consts.extend(t.consts)
+            starts.append(len(ops))
         self.pr = pr
         self.xbar = xb
-        self.bundle = bundle_tapes(tapes)
-        self.obj_ps = np.asarray(obj_ps, dtype=np.int32)
-        self.ineq_ps = np.asarray(ineq_ps, dtype=np.int32)
-        self.n_eq = pr.r
-        fbar = np.empty(pr.p)
-        for l, fobj in enumerate(pr.objectives):
-            fbar[l] = fobj.value(xb)
-        self.fbar = fbar
+        self.fbar = np.array([fobj.value(xb) for fobj in pr.objectives])
+        self._tapes = tapes
+        self._starts = starts
+        self._max_stack = max(t.max_stack for t in tapes)
+        self._program = (ops, arg, consts, starts, obj_ps, ineq_ps, pr.r,
+                         self.fbar.tolist(), xb.tolist())
 
     def _raise_domain(self, status: int, bad: int):
-        raise DomainError(STATUS_MESSAGES[status], locate_bundle_error(self.bundle, bad))
+        t = bisect_right(self._starts, bad) - 1
+        node = self._tapes[t].nodes[bad - self._starts[t]]
+        raise DomainError(STATUS_MESSAGES[status], unparse(node))
 
     def _phi_k(self, k: float, x):
-        b = self.bundle
-        xa = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
         status, bad, phi, phik, d = kernels.eval_phi_k(
-            b.ops, b.arg, b.consts, b.starts, self.obj_ps, self.ineq_ps,
-            self.n_eq, self.fbar, self.xbar, float(k), xa, b.max_stack,
+            *self._program, float(k), x, self._max_stack,
         )
         if status:
             self._raise_domain(status, bad)
@@ -145,16 +159,14 @@ class ProblemKernel:
     def subgrad_round(self, k: float, delta: float, c: float, L: int,
                       tail_from: int, x_io, x_best_out, x_avg_out):
         """One ladder round; see the kernel of the same name.  Returns
-        (f_best, halted, n_done); raises DomainError on guard violations."""
-        b = self.bundle
-        status, bad, f_best, halted, n_done = kernels.subgrad_round(
-            b.ops, b.arg, b.consts, b.starts, self.obj_ps, self.ineq_ps,
-            self.n_eq, self.fbar, self.xbar, float(k), float(delta), float(c),
-            int(L), int(tail_from), x_io, x_best_out, x_avg_out, b.max_stack,
+        (f_best, n_done); raises DomainError on guard violations."""
+        status, bad, f_best, _, n_done = kernels.subgrad_round(
+            *self._program, float(k), float(delta), float(c),
+            int(L), int(tail_from), x_io, x_best_out, x_avg_out, self._max_stack,
         )
         if status:
             self._raise_domain(status, bad)
-        return f_best, bool(halted), int(n_done)
+        return f_best, n_done
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,9 +300,6 @@ class InnerStatus:
     iterations: int
     rounds: int
     polish_steps: int
-    halted: bool          # a zero subgradient was hit in some round
-    beat_trivial: bool    # phi_k(x) < 0 = phi_k(xbar)
-    final_step: float
 
 
 def solve_subproblem(kern: ProblemKernel, k: float, cfg: PenaltyConfig | None = None,
@@ -333,7 +342,6 @@ def solve_subproblem(kern: ProblemKernel, k: float, cfg: PenaltyConfig | None = 
     stat = model.value
     total = 0
     rounds = 0
-    halted_any = False
     c = cfg.delta * STEP_FRAC
     c_floor = 1e-13 * max(1.0, float(np.max(np.abs(kern.xbar))) if n else 1.0)
 
@@ -342,12 +350,11 @@ def solve_subproblem(kern: ProblemKernel, k: float, cfg: PenaltyConfig | None = 
         x_io = best_x.copy()
         x_round_best = np.empty(n)
         x_avg = np.empty(n)
-        f_round_best, halted, n_done = kern.subgrad_round(
+        f_round_best, n_done = kern.subgrad_round(
             k, cfg.delta, c, L, max(1, L // 2), x_io, x_round_best, x_avg,
         )
         total += n_done
         rounds += 1
-        halted_any = halted_any or halted
         if f_round_best < best_phik:
             phi_rb, _ = kern.eval_phik(k, x_round_best)
             best_x, best_phi, best_phik = x_round_best, phi_rb, f_round_best
@@ -377,9 +384,6 @@ def solve_subproblem(kern: ProblemKernel, k: float, cfg: PenaltyConfig | None = 
         iterations=total,
         rounds=rounds,
         polish_steps=polish_steps,
-        halted=halted_any,
-        beat_trivial=best_phik < 0.0,
-        final_step=c,
     )
 
 

@@ -48,7 +48,7 @@ class ActivitySimplex:
 
 def subdifferential(fn: PiecewiseMaxFn, x, eps_act: float = DEFAULT_EPS_ACT) -> SubdiffPolytope:
     """Polytope model of the subdifferential of `fn` at x."""
-    if eps_act < 0:
+    if not eps_act >= 0:
         raise ValueError("eps_act must be >= 0")
     xa = _check_point(x)
     vmax, vals, grads = fn.value_and_gradients(xa)

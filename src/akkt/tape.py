@@ -1,8 +1,10 @@
 """Compile expression trees to flat instruction tapes.
 
-A tape is a postorder opcode array interpreted by a stack machine that
-carries (value, gradient) pairs, so one sweep yields the exact analytic
-gradient.  The stack machine is `_kernels_py` (bound as
+A tape is a postorder opcode sequence interpreted by a stack machine
+that carries (value, gradient) pairs, so one sweep yields the exact
+analytic gradient.  Opcodes, their arguments and the constant pool are
+plain tuples of ints and floats, built once per expression and read by
+the kernels as they are.  The stack machine is `_kernels_py` (bound as
 `backend.kernels`); `eval_batch` runs a values-only numpy version over
 rows.  Domain guards (division by zero, log/sqrt of non-positive
 arguments, 0^negative, any non-finite intermediate) abort evaluation
@@ -47,9 +49,9 @@ STATUS_MESSAGES = {
 
 @dataclass(frozen=True)
 class Tape:
-    ops: np.ndarray        # int32 opcodes, postorder
-    arg: np.ndarray        # int32: const slot / var index / exponent
-    consts: np.ndarray     # float64 constant pool
+    ops: tuple[int, ...]       # opcodes, postorder
+    arg: tuple[int, ...]       # const slot / var index / exponent
+    consts: tuple[float, ...]  # constant pool
     max_stack: int
     nodes: tuple[Expr, ...]  # node per instruction, for error reporting
     n_min: int             # smallest dimension the tape accepts
@@ -70,7 +72,7 @@ def compile_tape(e: Expr) -> Tape:
         if node.op == "const":
             ops.append(OP_CONST)
             arg.append(len(consts))
-            consts.append(node.value)
+            consts.append(float(node.value))
             depth += 1
         elif node.op == "var":
             ops.append(OP_VAR)
@@ -102,9 +104,9 @@ def compile_tape(e: Expr) -> Tape:
 
     emit(e)
     return Tape(
-        ops=np.asarray(ops, dtype=np.int32),
-        arg=np.asarray(arg, dtype=np.int32),
-        consts=np.asarray(consts, dtype=np.float64),
+        ops=tuple(ops),
+        arg=tuple(arg),
+        consts=tuple(consts),
         max_stack=max_depth,
         nodes=tuple(nodes),
         n_min=n_min,
@@ -203,9 +205,9 @@ def eval_batch(e: Expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 if a < 0:
                     ok &= base != 0.0
                     safe = np.where(base == 0.0, 1.0, base)
-                    stack[-1] = safe ** int(a)
+                    stack[-1] = safe ** a
                 else:
-                    stack[-1] = base ** int(a)
+                    stack[-1] = base ** a
             elif op == OP_NEG:
                 stack[-1] = -stack[-1]
             elif op == OP_EXP:
@@ -224,51 +226,3 @@ def eval_batch(e: Expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 stack[-1] = np.sqrt(np.where(v > 0.0, v, 1.0))
             ok &= np.isfinite(stack[-1])
     return stack[0], ok
-
-
-@dataclass(frozen=True)
-class TapeBundle:
-    """Several tapes concatenated for one-call evaluation of a problem."""
-
-    ops: np.ndarray
-    arg: np.ndarray
-    consts: np.ndarray
-    starts: np.ndarray     # int32, len T+1: instruction ranges per tape
-    max_stack: int
-    n_min: int
-    tapes: tuple[Tape, ...]
-
-    @property
-    def n_tapes(self) -> int:
-        return len(self.starts) - 1
-
-
-def bundle_tapes(tapes: list[Tape]) -> TapeBundle:
-    ops = []
-    arg = []
-    consts: list[float] = []
-    starts = [0]
-    for t in tapes:
-        shifted = t.arg.copy()
-        is_const = t.ops == OP_CONST
-        shifted[is_const] += len(consts)
-        ops.append(t.ops)
-        arg.append(shifted)
-        consts.extend(t.consts.tolist())
-        starts.append(starts[-1] + len(t.ops))
-    return TapeBundle(
-        ops=np.concatenate(ops).astype(np.int32),
-        arg=np.concatenate(arg).astype(np.int32),
-        consts=np.asarray(consts, dtype=np.float64),
-        starts=np.asarray(starts, dtype=np.int32),
-        max_stack=max(t.max_stack for t in tapes),
-        n_min=max(t.n_min for t in tapes),
-        tapes=tuple(tapes),
-    )
-
-
-def locate_bundle_error(bundle: TapeBundle, bad_instr: int) -> str:
-    """Map a global instruction index back to its subexpression text."""
-    t = int(np.searchsorted(bundle.starts, bad_instr, side="right")) - 1
-    local = bad_instr - int(bundle.starts[t])
-    return unparse(bundle.tapes[t].nodes[local])

@@ -6,7 +6,7 @@ equality-constrained systems; the inner-solver oracle is a 1-D grid scan
 refined by bisection on an explicit derivative; the gradient oracle is a
 central finite difference.  The one-selection subgradient reference
 evaluates phi_k piece by piece through the scalar tape path instead of
-the kernel's single pass over the bundled tapes.
+the kernel's single pass over the problem's concatenated program.
 """
 import itertools
 import math

@@ -364,6 +364,11 @@ class TestOracle:
         with pytest.raises(ValueError):
             weak_efficiency_oracle(p1, [0.0], [-1.0], [1.0], step=0.0)
 
+    @pytest.mark.parametrize("lo, hi", [([math.nan], [1.0]), ([-1.0], [math.inf])])
+    def test_box_corners_must_be_finite(self, p1, lo, hi):
+        with pytest.raises(ValueError, match="box corners must be finite"):
+            weak_efficiency_oracle(p1, [0.0], lo, hi)
+
 
 class TestReportShell:
     def test_lookup_and_aggregate(self):

@@ -163,6 +163,10 @@ class TestOracle:
         assert run(["oracle", P1, "--point", "0", "--box", "oops"]) == 2
         capsys.readouterr()
 
+    def test_non_finite_box_corner(self, capsys):
+        assert run(["oracle", P1, "--point", "0", "--box=nan..1"]) == 2
+        assert "box corners must be finite" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_builtin(self, capsys):
@@ -179,6 +183,21 @@ class TestUsageErrors:
         assert run(["penalty", P1, "--point", "0",
                     "--schedule", "1,abc"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["check-kkt", "penalty"])
+    def test_nan_eps_act(self, capsys, command):
+        assert run([command, P1, "--point", "0", "--eps-act", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "eps_act" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["check-kkt", "certify-akkt"])
+    def test_bad_tol(self, capsys, tmp_path, command, tol):
+        report = tmp_path / "report.json"
+        assert run([command, P1, "--point", "0", f"--tol={tol}",
+                    "--report", str(report)]) == 2
+        assert "--tol must be finite and >= 0" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_missing_required_point(self):
         with pytest.raises(SystemExit) as ei:

@@ -62,6 +62,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PenaltyConfig(schedule=(10.0, 10.0))
 
+    @pytest.mark.parametrize("eps_act", [-1e-9, math.nan])
+    def test_bad_eps_act(self, eps_act):
+        with pytest.raises(ValueError, match="eps_act"):
+            PenaltyConfig(eps_act=eps_act)
+
 
 class TestInnerSolve:
     def test_phi_k_closed_form(self, p1):

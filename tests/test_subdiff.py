@@ -26,6 +26,11 @@ class TestSubdifferential:
         assert poly.active == (0, 1)
         assert np.array_equal(poly.generators, [[1.0], [-1.0]])
 
+    @pytest.mark.parametrize("eps_act", [-1e-9, float("nan")])
+    def test_bad_eps_act(self, eps_act):
+        with pytest.raises(ValueError, match="eps_act"):
+            subdifferential(_fn("x0", "-x0"), [0.0], eps_act=eps_act)
+
     def test_smooth_single_piece_is_gradient(self):
         poly = subdifferential(_fn("x0^2"), [3.0])
         assert np.array_equal(poly.generators, [[6.0]])

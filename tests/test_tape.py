@@ -113,6 +113,35 @@ class TestPrecompiledEqualities:
         assert str(got.value) == str(ref.value)
 
 
+class TestKernelErrorLocation:
+    """The kernels run every tape of a problem as one program; a guard
+    tripped anywhere in it must name the piece that tripped it."""
+
+    PROBLEM = {"name": "guards", "n": 2,
+               "objectives": [{"pieces": ["x0"]}, {"pieces": ["x1", "log(x0 - 1)"]}],
+               "inequalities": [{"pieces": ["x0 - 10", "sqrt(x1 + 3)"]}],
+               "equalities": ["x0 + x1"]}
+
+    @pytest.mark.parametrize("x, piece", [
+        ([0.5, 0.0], "log(x0 - 1)"),     # second objective
+        ([2.0, -5.0], "sqrt(x1 + 3)"),   # inequality
+    ])
+    def test_same_error_as_eval_grad(self, x, piece):
+        kern = ProblemKernel(load_problem_dict(self.PROBLEM), [2.0, 0.0])
+        with pytest.raises(DomainError) as ref:
+            eval_grad(parse_expr(piece, 2), x)
+
+        def one_round():
+            x_io = np.array(x)
+            kern.subgrad_round(1.0, 1.0, 0.1, 1, 1, x_io, np.empty(2), np.empty(2))
+
+        calls = (lambda: kern.eval_phik(1.0, x), lambda: kern.subgradient(1.0, x), one_round)
+        for call in calls:
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == str(ref.value)
+
+
 class TestBatch:
     @pytest.mark.parametrize("text", ["1/exp(x0)", "exp(-exp(x0))"])
     def test_nonfinite_intermediate_flags_the_row(self, text):
