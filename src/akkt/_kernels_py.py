@@ -1,9 +1,16 @@
-"""Tape interpreter and inner-loop kernels, on plain floats and `math`
-calls.  Programs arrive as Python sequences of ints and floats (tape
-tuples, or the lists `ProblemKernel` concatenates once) and are read
-as they are; only the point is copied into a list per call.  Status
-codes: 0 ok, 1 division by zero, 2 log domain, 3 sqrt domain, 4 zero
-base with negative exponent, 5 non-finite value.
+"""Tape interpreter, tape code generator and inner-loop kernels, on
+plain floats and `math` calls; this module defines the scalar semantics
+of a tape.
+
+`_run_tape` interprets a tape read as it is (tuples of ints and floats);
+`eval_tape` runs it for one-off evaluations.  `emit_tape` compiles a
+tape into a straight-line function that performs the same float
+operations in the same order, so its results are bitwise the
+interpreter's; the phi_k kernels (`eval_phi_k`, `subgrad_round`) run a
+problem's tapes only through such functions.  Only the point is copied
+into a list per call.  Status codes: 0 ok, 1 division by zero, 2 log
+domain, 3 sqrt domain, 4 zero base with negative exponent, 5 non-finite
+value.
 """
 
 from __future__ import annotations
@@ -87,7 +94,10 @@ def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
                     vs[sp] = p * v0
                     dc = a * p
                 else:
-                    v = 1.0 / (p * v0)
+                    q = p * v0
+                    if q == 0.0:  # underflow: 1/q would raise
+                        return 5, i
+                    v = 1.0 / q
                     vs[sp] = v
                     dc = a * v / v0
                 for j in range(n):
@@ -147,13 +157,6 @@ def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
     return 0, -1
 
 
-def _workspace(n, max_stack, T):
-    """Scratch of `_phik_at`: the value/gradient stack, per-tape values
-    and gradients, and the subgradient d."""
-    return ([0.0] * max_stack, [[0.0] * n for _ in range(max_stack)],
-            [0.0] * T, [[0.0] * n for _ in range(T)], [0.0] * n)
-
-
 def eval_tape(ops, arg, consts, start, end, x, grad_out, max_stack):
     """Evaluate one tape at x; writes the gradient into grad_out.
 
@@ -171,23 +174,137 @@ def eval_tape(ops, arg, consts, start, end, x, grad_out, max_stack):
     return 0, -1, vs[0]
 
 
-def _phik_at(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x, n,
-             vs, gs, values, grads, d):
+# Every name emitted code reads besides its locals and `consts`, the
+# constant pool bound per function.
+_EMIT_GLOBALS = {"__builtins__": {}, "OverflowError": OverflowError, "isfinite": isfinite,
+                 "exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt}
+
+
+def emit_tape(ops, arg, consts, n):
+    """Compile one tape into a straight-line function for points of
+    dimension n: f(x) -> (status, bad_instr, value, gradient tuple).
+
+    f unpacks x into exactly n floats and runs the float operations of
+    `_run_tape` in the same order, densely over all n gradient entries,
+    with stack slot s held in the locals v{s} and g{s}_{j}; its results
+    are bitwise those of `_run_tape`.  The finiteness check is left out
+    after instructions that cannot turn finite operands non-finite
+    (a finite constant, pow 0, neg, exp, which raises instead, and log,
+    sin, cos, sqrt behind their guards).  A guard violation returns
+    (status, i, 0.0, None) with i the index within this tape.  The
+    source holds only opcode translations, integer indices and the repr
+    of finite floats; a non-finite constant is read from the pool.
+    """
+    J = range(n)
+    body = ["".join(f"x{j}, " for j in J) + "= x"]
+    out = body.append
+    sp = -1
+    fail = "return %d, %d, 0.0, None"
+    for i, (op, a) in enumerate(zip(ops, arg)):
+        a = int(a)
+        check = op in (1, 2, 3, 4, 5, 6)  # var, binary ops, pow: may turn non-finite
+        if op == 0:  # const
+            sp += 1
+            c = float(consts[a])
+            if isfinite(c):
+                out(f"v{sp} = {c!r}")
+            else:
+                out(f"v{sp} = consts[{a}]")
+                check = True
+            body.extend(f"g{sp}_{j} = 0.0" for j in J)
+        elif op == 1:  # var
+            sp += 1
+            out(f"v{sp} = x{a}")
+            body.extend(f"g{sp}_{j} = {'1.0' if j == a else '0.0'}" for j in J)
+        elif op <= 5:  # add, sub, mul, div: slot s op= slot b
+            sp -= 1
+            s, b = sp, sp + 1
+            if op == 2:
+                out(f"v{s} = v{s} + v{b}")
+                body.extend(f"g{s}_{j} = g{s}_{j} + g{b}_{j}" for j in J)
+            elif op == 3:
+                out(f"v{s} = v{s} - v{b}")
+                body.extend(f"g{s}_{j} = g{s}_{j} - g{b}_{j}" for j in J)
+            elif op == 4:
+                body.extend(f"g{s}_{j} = g{s}_{j} * v{b} + v{s} * g{b}_{j}" for j in J)
+                out(f"v{s} = v{s} * v{b}")
+            else:
+                out(f"if v{b} == 0.0: " + fail % (1, i))
+                out(f"v{s} = v{s} / v{b}")
+                body.extend(f"g{s}_{j} = (g{s}_{j} - v{s} * g{b}_{j}) / v{b}" for j in J)
+        elif op == 6:  # pow, integer exponent in a
+            if a == 0:
+                out(f"v{sp} = 1.0")
+                body.extend(f"g{sp}_{j} = 0.0" for j in J)
+                check = False
+            else:
+                out("p = 1.0" + f" * v{sp}" * (abs(a) - 1))
+                if a > 0:
+                    out(f"dc = {a} * p")
+                    out(f"v{sp} = p * v{sp}")
+                else:
+                    out(f"if v{sp} == 0.0: " + fail % (4, i))
+                    out(f"q = p * v{sp}")
+                    out("if q == 0.0: " + fail % (5, i))
+                    out("w = 1.0 / q")
+                    out(f"dc = {a} * w / v{sp}")
+                    out(f"v{sp} = w")
+                body.extend(f"g{sp}_{j} = dc * g{sp}_{j}" for j in J)
+        elif op == 7:  # neg
+            out(f"v{sp} = -v{sp}")
+            body.extend(f"g{sp}_{j} = -g{sp}_{j}" for j in J)
+        elif op == 8:  # exp
+            out(f"try: v{sp} = exp(v{sp})")
+            out("except OverflowError: " + fail % (5, i))
+            body.extend(f"g{sp}_{j} = v{sp} * g{sp}_{j}" for j in J)
+        elif op == 9:  # log
+            out(f"if v{sp} <= 0.0: " + fail % (2, i))
+            body.extend(f"g{sp}_{j} = g{sp}_{j} / v{sp}" for j in J)
+            out(f"v{sp} = log(v{sp})")
+        elif op == 10:  # sin
+            out(f"dc = cos(v{sp})")
+            out(f"v{sp} = sin(v{sp})")
+            body.extend(f"g{sp}_{j} = dc * g{sp}_{j}" for j in J)
+        elif op == 11:  # cos
+            out(f"dc = -sin(v{sp})")
+            out(f"v{sp} = cos(v{sp})")
+            body.extend(f"g{sp}_{j} = dc * g{sp}_{j}" for j in J)
+        elif op == 12:  # sqrt
+            out(f"if v{sp} <= 0.0: " + fail % (3, i))
+            out(f"v{sp} = sqrt(v{sp})")
+            out(f"dc = 0.5 / v{sp}")
+            body.extend(f"g{sp}_{j} = dc * g{sp}_{j}" for j in J)
+        else:
+            raise ValueError(f"unknown opcode {op!r}")
+        if check:
+            out(f"if not isfinite(v{sp}): " + fail % (5, i))
+    grad = [f"g0_{j}" for j in J]
+    out("if not (" + " and ".join(f"isfinite({g})" for g in grad) + "): "
+        + fail % (5, len(ops) - 1))
+    out("return 0, -1, v0, (" + "".join(f"{g}, " for g in grad) + ")")
+    src = "def tape_fn(x):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = dict(_EMIT_GLOBALS, consts=consts)
+    exec(compile(src, f"<tape n={n}>", "exec"), namespace)
+    return namespace["tape_fn"]
+
+
+def _workspace(n, T):
+    """Scratch of `_phik_at`: per-tape values and gradients, and the
+    subgradient d."""
+    return [0.0] * T, [None] * T, [0.0] * n
+
+
+def _phik_at(fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x, n, values, grads, d):
     """phi_k value and one-selection subgradient at x; fills d in place.
 
-    Returns (status, bad_instr, phi, phik).  Active pieces are chosen by
-    strict argmax, so exact ties keep the lowest tape index.
+    Returns (status, bad_instr, phi, phik), bad_instr an index into the
+    whole program.  Active pieces are chosen by strict argmax, so exact
+    ties keep the lowest tape index.
     """
-    T = len(starts) - 1
-    for tp in range(T):
-        status, bad = _run_tape(ops, arg, consts, starts[tp], starts[tp + 1], x, n, vs, gs)
+    for tp, fn in enumerate(fns):
+        status, bad, values[tp], grads[tp] = fn(x)
         if status:
-            return status, bad, 0.0, 0.0
-        values[tp] = vs[0]
-        gt = grads[tp]
-        g0 = gs[0]
-        for j in range(n):
-            gt[j] = g0[j]
+            return status, starts[tp] + bad, 0.0, 0.0
 
     p = len(obj_ps) - 1
     phi = float("-inf")
@@ -240,20 +357,25 @@ def _phik_at(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x, 
     return 0, -1, phi, phik
 
 
-def eval_phi_k(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x, max_stack):
+def eval_phi_k(ops, fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x):
     """Returns (status, bad_instr, phi, phi_k, d) at the point x, with d
-    the one-selection subgradient of phi_k there (a list of n floats)."""
+    the one-selection subgradient of phi_k there (a list of n floats).
+
+    fns are the `emit_tape` functions of the program's tapes, in order,
+    and starts[t] the index of tape t's first instruction in the flat
+    opcode sequence ops, which only the benchmark tracer reads.
+    """
     n = len(x)
-    vs, gs, values, grads, d = _workspace(n, max_stack, len(starts) - 1)
+    values, grads, d = _workspace(n, len(fns))
     status, bad, phi, phik = _phik_at(
-        ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
-        k, [float(v) for v in x], n, vs, gs, values, grads, d,
+        fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
+        k, [float(v) for v in x], n, values, grads, d,
     )
     return status, bad, phi, phik, d
 
 
-def subgrad_round(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
-                  k, delta, c, L, tail_from, x_io, x_best_out, x_avg_out, max_stack):
+def subgrad_round(ops, fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
+                  k, delta, c, L, tail_from, x_io, x_best_out, x_avg_out):
     """One restart round of normalized projected subgradient descent.
 
     Steps x <- Pi_ball(x - (c/sqrt(t)) d/||d||) for t = 1..L from x_io,
@@ -265,7 +387,7 @@ def subgrad_round(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
     """
     n = len(x_io)
     x = [float(v) for v in x_io]
-    vs, gs, values, grads, d = _workspace(n, max_stack, len(starts) - 1)
+    values, grads, d = _workspace(n, len(fns))
     avg = [0.0] * n
     n_avg = 0
     f_best = float("inf")
@@ -275,8 +397,7 @@ def subgrad_round(ops, arg, consts, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
 
     for t in range(1, L + 1):
         status, bad, phi, phik = _phik_at(
-            ops, arg, consts, starts, obj_ps, ineq_ps, n_eq,
-            fbar, xbar, k, x, n, vs, gs, values, grads, d,
+            fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x, n, values, grads, d,
         )
         if status:
             for j in range(n):

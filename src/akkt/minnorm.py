@@ -12,6 +12,7 @@ convex weights per factor and is certified by the Wolfe criterion
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +46,12 @@ def _validate_factors(factors):
     cleaned = []
     for idx, (scale, gens) in enumerate(factors):
         s = float(scale)
-        if not np.isfinite(s) or s < 0.0:
+        if not math.isfinite(s) or s < 0.0:
             raise ValueError(f"factor {idx}: scale must be finite and >= 0")
         G = np.atleast_2d(np.asarray(gens, dtype=np.float64))
         if G.size == 0:
             raise ValueError(f"factor {idx}: needs at least one generator")
-        if not np.all(np.isfinite(G)):
+        if not np.isfinite(G).all():
             raise ValueError(f"factor {idx}: generators must be finite")
         if n is None:
             n = G.shape[1]
@@ -90,7 +91,7 @@ def min_norm_point(factors, tol: float = WOLFE_TOL) -> MinNormResult:
         sel = []
         pt = np.zeros(n)
         for s, G in cleaned:
-            j = int(np.argmin(G @ d))  # first minimum: lowest index wins ties
+            j = int((G @ d).argmin())  # first minimum: lowest index wins ties
             sel.append(j)
             pt = pt + s * G[j]
         return tuple(sel), pt
@@ -122,7 +123,7 @@ def min_norm_point(factors, tol: float = WOLFE_TOL) -> MinNormResult:
         while True:
             P = np.vstack(corral_pts)
             beta = _affine_min_norm(P)
-            if np.all(beta >= -1e-12):
+            if (beta >= -1e-12).all():
                 alpha = np.clip(beta, 0.0, None)
                 break
             neg = beta < alpha

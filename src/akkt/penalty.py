@@ -38,7 +38,7 @@ from .expr import unparse
 from .minnorm import MinNormResult, MultiplierTriple, min_norm_point, residual_m_detail
 from .problem import FeasibilityReport, Problem, constraint_values, feasibility_violation
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
-from .tape import OP_CONST, STATUS_MESSAGES, DomainError, eval_tapes
+from .tape import STATUS_MESSAGES, DomainError, eval_tapes
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 FEASIBILITY_TOL = 1e-8
@@ -90,13 +90,14 @@ class PenaltyConfig:
 
 
 class ProblemKernel:
-    """The tapes of one problem concatenated once into the flat program
-    the evaluation kernels read, anchored at a base point xbar
-    (objective offsets fbar are frozen at build).
+    """The tapes of one problem as the program the evaluation kernels
+    read, anchored at a base point xbar (objective offsets fbar are
+    frozen at build).
 
-    The program is plain lists: opcodes, arguments with constant slots
-    re-based into one pool, the constant pool, the instruction start of
-    each tape, and the tape ranges of the objectives and inequalities;
+    The program holds each tape compiled to straight-line code for
+    dimension n (`Tape.compiled`, shared by every kernel over an equal
+    tape), the instruction start of each tape in the concatenated
+    opcodes, and the tape ranges of the objectives and inequalities;
     the equality tapes come last.  `fbar` and `xbar` stay numpy for
     callers; the kernels get list copies.
     """
@@ -117,21 +118,27 @@ class ProblemKernel:
             tapes.extend(gfn.tapes)
             ineq_ps.append(len(tapes))
         tapes.extend(pr.eq_tapes)
-        ops, arg, consts, starts = [], [], [], [0]
+        ops, starts = [], [0]
         for t in tapes:
-            base = len(consts)
             ops.extend(t.ops)
-            arg.extend(a + base if op == OP_CONST else a for op, a in zip(t.ops, t.arg))
-            consts.extend(t.consts)
             starts.append(len(ops))
         self.pr = pr
         self.xbar = xb
         self.fbar = np.array([fobj.value(xb) for fobj in pr.objectives])
         self._tapes = tapes
         self._starts = starts
-        self._max_stack = max(t.max_stack for t in tapes)
-        self._program = (ops, arg, consts, starts, obj_ps, ineq_ps, pr.r,
-                         self.fbar.tolist(), xb.tolist())
+        # ops is not run: the benchmark tracer counts its length as tape instructions
+        self._program = (ops, tuple(t.compiled(pr.n) for t in tapes), starts, obj_ps,
+                         ineq_ps, pr.r, self.fbar.tolist(), xb.tolist())
+
+    def _check_point(self, x):
+        """Reject what `eval_grad` rejects, once per call: a point that
+        is not n reals, or a non-finite one."""
+        if getattr(x, "ndim", 1) != 1 or len(x) != self.pr.n:
+            raise ValueError(f"x must have shape ({self.pr.n},)")
+        for v in x:
+            if not math.isfinite(v):
+                raise ValueError("point contains non-finite values")
 
     def _raise_domain(self, status: int, bad: int):
         t = bisect_right(self._starts, bad) - 1
@@ -139,30 +146,31 @@ class ProblemKernel:
         raise DomainError(STATUS_MESSAGES[status], unparse(node))
 
     def _phi_k(self, k: float, x):
-        status, bad, phi, phik, d = kernels.eval_phi_k(
-            *self._program, float(k), x, self._max_stack,
-        )
+        self._check_point(x)
+        status, bad, phi, phik, d = kernels.eval_phi_k(*self._program, float(k), x)
         if status:
             self._raise_domain(status, bad)
         return phi, phik, d
 
     def eval_phik(self, k: float, x) -> tuple[float, float]:
-        """(phi(x), phi_k(x)); raises DomainError on guard violations."""
+        """(phi(x), phi_k(x)); raises DomainError on guard violations and
+        ValueError on a point of the wrong shape or with non-finite values."""
         return self._phi_k(k, x)[:2]
 
     def subgradient(self, k: float, x) -> np.ndarray:
         """The kernel's one-selection subgradient of phi_k at x: strict
         argmax pieces, so exact ties keep the lowest piece index.  Raises
-        DomainError on guard violations."""
+        as `eval_phik`."""
         return np.asarray(self._phi_k(k, x)[2])
 
     def subgrad_round(self, k: float, delta: float, c: float, L: int,
                       tail_from: int, x_io, x_best_out, x_avg_out):
-        """One ladder round; see the kernel of the same name.  Returns
-        (f_best, n_done); raises DomainError on guard violations."""
+        """One ladder round from x_io; see the kernel of the same name.
+        Returns (f_best, n_done); raises as `eval_phik`."""
+        self._check_point(x_io)
         status, bad, f_best, _, n_done = kernels.subgrad_round(
             *self._program, float(k), float(delta), float(c),
-            int(L), int(tail_from), x_io, x_best_out, x_avg_out, self._max_stack,
+            int(L), int(tail_from), x_io, x_best_out, x_avg_out,
         )
         if status:
             self._raise_domain(status, bad)
@@ -319,6 +327,8 @@ def solve_subproblem(kern: ProblemKernel, k: float, cfg: PenaltyConfig | None = 
         xi = np.ascontiguousarray(np.asarray(x_init, dtype=np.float64))
         if xi.shape != (n,):
             raise ValueError(f"x_init must have shape ({n},)")
+        if not np.all(np.isfinite(xi)):
+            raise ValueError("x_init must be finite")
         shift = xi - kern.xbar
         d = float(np.linalg.norm(shift))
         if d > cfg.delta:

@@ -1,19 +1,21 @@
 """Compile expression trees to flat instruction tapes.
 
-A tape is a postorder opcode sequence interpreted by a stack machine
-that carries (value, gradient) pairs, so one sweep yields the exact
-analytic gradient.  Opcodes, their arguments and the constant pool are
-plain tuples of ints and floats, built once per expression and read by
-the kernels as they are.  The stack machine is `_kernels_py` (bound as
-`backend.kernels`); `eval_batch` runs a values-only numpy version over
-rows.  Domain guards (division by zero, log/sqrt of non-positive
-arguments, 0^negative, any non-finite intermediate) abort evaluation
-and name the offending subexpression.
+A tape is a postorder opcode sequence over a stack of (value, gradient)
+pairs, so one sweep yields the exact analytic gradient.  Opcodes, their
+arguments and the constant pool are plain tuples of ints and floats,
+built once per expression.  `_kernels_py` (bound as `backend.kernels`)
+runs a tape two ways with one scalar semantics: its interpreter serves
+one-off evaluations (`eval_grad`, `eval_tapes`), and `Tape.compiled`
+turns a tape into straight-line Python once per dimension for the
+penalty kernels' inner loop.  `eval_batch` runs a values-only numpy
+version over rows.  Domain guards (division by zero, log/sqrt of
+non-positive arguments, 0^negative, any non-finite intermediate) abort
+evaluation and name the offending subexpression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -55,6 +57,15 @@ class Tape:
     max_stack: int
     nodes: tuple[Expr, ...]  # node per instruction, for error reporting
     n_min: int             # smallest dimension the tape accepts
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def compiled(self, n: int):
+        """The tape as straight-line code for points of dimension n
+        (`emit_tape`), generated on first use and kept per n."""
+        fn = self._compiled.get(n)
+        if fn is None:
+            fn = self._compiled[n] = backend.kernels.emit_tape(self.ops, self.arg, self.consts, n)
+        return fn
 
 
 @lru_cache(maxsize=1024)

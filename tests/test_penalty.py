@@ -117,6 +117,43 @@ class TestInnerSolve:
         kern = ProblemKernel(p1, [0.0])
         with pytest.raises(ValueError):
             solve_subproblem(kern, 1.0, x_init=[0.0, 0.0])
+        with pytest.raises(ValueError, match="x_init must be finite"):
+            solve_subproblem(kern, 1.0, x_init=[math.nan])
+
+
+class TestKernelPointChecks:
+    """eval_phik, subgradient and subgrad_round refuse what eval_grad
+    refuses, with its messages, before any tape runs."""
+
+    @staticmethod
+    def _entry_points(kern):
+        def one_round(x):
+            kern.subgrad_round(1.0, 1.0, 0.1, 1, 1, x, np.empty(2), np.empty(2))
+
+        return (lambda x: kern.eval_phik(1.0, x), lambda x: kern.subgradient(1.0, x),
+                one_round)
+
+    @pytest.mark.parametrize("x", [np.zeros(1), np.zeros(3), np.zeros((2, 1)), np.zeros((1, 2))])
+    def test_wrong_shape(self, p3, x):
+        kern = ProblemKernel(p3, [0.5, 0.5])
+        for call in self._entry_points(kern):
+            with pytest.raises(ValueError, match=r"^x must have shape \(2,\)$"):
+                call(x.copy())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, p3, bad):
+        kern = ProblemKernel(p3, [0.5, 0.5])
+        with pytest.raises(ValueError) as ref:
+            eval_value(p3.objectives[0].pieces[0], [bad, 0.0])
+        for call in self._entry_points(kern):
+            with pytest.raises(ValueError) as got:
+                call(np.array([bad, 0.0]))
+            assert type(got.value) is ValueError
+            assert str(got.value) == str(ref.value) == "point contains non-finite values"
+
+    def test_lists_are_accepted(self, p3):
+        kern = ProblemKernel(p3, [0.5, 0.5])
+        assert kern.eval_phik(1.0, [0.2, 0.9]) == kern.eval_phik(1.0, np.array([0.2, 0.9]))
 
 
 class TestKernelSubgradient:

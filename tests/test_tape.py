@@ -113,6 +113,23 @@ class TestPrecompiledEqualities:
         assert str(got.value) == str(ref.value)
 
 
+def test_negative_power_underflow_is_a_domain_error_everywhere():
+    # x0^-3 at 1e-120: x0*x0*x0 underflows to 0, so 1/(x0*x0*x0) is not finite
+    e = parse_expr("x0^-3", 1)
+    with pytest.raises(DomainError) as ref:
+        eval_grad(e, [1e-120])
+    assert str(ref.value) == "non-finite value in subexpression 'x0^-3'"
+    kern = ProblemKernel(load_problem_dict({"name": "pow", "n": 1,
+                                            "objectives": [{"pieces": ["x0^-3"]}]}), [1.0])
+    for call in (lambda: kern.eval_phik(1.0, [1e-120]), lambda: kern.subgradient(1.0, [1e-120])):
+        with pytest.raises(DomainError) as got:
+            call()
+        assert str(got.value) == str(ref.value)
+    values, ok = eval_batch(e, np.array([[1e-120], [1.0]]))
+    assert ok.tolist() == [False, True]
+    assert values[1] == eval_value(e, [1.0])
+
+
 class TestKernelErrorLocation:
     """The kernels run every tape of a problem as one program; a guard
     tripped anywhere in it must name the piece that tripped it."""
