@@ -1,21 +1,23 @@
-"""Tape interpreter, tape code generator and inner-loop kernels, on
-plain floats and `math` calls; this module defines the scalar semantics
-of a tape.
+"""Tape interpreter, tape and phi_k code generators and inner-loop
+kernels, on plain floats and `math` calls; this module defines the
+scalar semantics of a tape.
 
 `_run_tape` interprets a tape read as it is (tuples of ints and floats);
 `eval_tape` runs it for one-off evaluations.  `emit_tape` compiles a
 tape into a straight-line function that performs the same float
 operations in the same order, so its results are bitwise the
-interpreter's; the phi_k kernels (`eval_phi_k`, `subgrad_round`) run a
-problem's tapes only through such functions.  Only the point is copied
-into a list per call.  Status codes: 0 ok, 1 division by zero, 2 log
-domain, 3 sqrt domain, 4 zero base with negative exponent, 5 non-finite
-value.
+interpreter's.  `emit_program` compiles a problem's whole phi_k layer
+over those functions into two straight-line functions, phi_k with its
+subgradient and a whole subgradient round, unrolled over the point's
+coordinates; the kernels `eval_phi_k` and `subgrad_round` only call
+them.  Status codes: 0 ok, 1 division by zero, 2 log domain, 3 sqrt
+domain, 4 zero base with negative exponent, 5 non-finite value.
 """
 
 from __future__ import annotations
 
-from math import cos, exp, isfinite, log, sin, sqrt
+from functools import lru_cache
+from math import cos, exp, inf, isfinite, log, sin, sqrt
 
 
 def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
@@ -174,10 +176,12 @@ def eval_tape(ops, arg, consts, start, end, x, grad_out, max_stack):
     return 0, -1, vs[0]
 
 
-# Every name emitted code reads besides its locals and `consts`, the
-# constant pool bound per function.
+# Every name emitted code reads besides its locals, `consts` (the
+# constant pool bound per tape function) and the tape functions f{t} a
+# program calls.
 _EMIT_GLOBALS = {"__builtins__": {}, "OverflowError": OverflowError, "isfinite": isfinite,
-                 "exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt}
+                 "exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt,
+                 "float": float, "range": range, "inf": inf}
 
 
 def emit_tape(ops, arg, consts, n):
@@ -288,94 +292,108 @@ def emit_tape(ops, arg, consts, n):
     return namespace["tape_fn"]
 
 
-def _workspace(n, T):
-    """Scratch of `_phik_at`: per-tape values and gradients, and the
-    subgradient d."""
-    return [0.0] * T, [None] * T, [0.0] * n
+@lru_cache(maxsize=128)
+def emit_program(fns, starts, obj_ps, ineq_ps, n_eq, n):
+    """Compile the phi_k layer of one problem into a pair of straight-
+    line functions for points of dimension n, built once per distinct
+    (tape functions, layout, n) and shared by every kernel over it:
 
+        phik_fn(fbar, xbar, k, x) -> (status, bad_instr, phi, phi_k, d)
+        round_fn(fbar, xbar, k, delta, c, L, tail_from, x_io, x_best_out,
+                 x_avg_out) -> (status, bad_instr, f_best, halted, n_done)
 
-def _phik_at(fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x, n, values, grads, d):
-    """phi_k value and one-selection subgradient at x; fills d in place.
-
-    Returns (status, bad_instr, phi, phik), bad_instr an index into the
-    whole program.  Active pieces are chosen by strict argmax, so exact
-    ties keep the lowest tape index.
+    fns are the `emit_tape` functions of the program's tapes, starts[t]
+    the index of tape t's first instruction in the whole program, and
+    obj_ps / ineq_ps the tape ranges of the objectives and inequalities;
+    the n_eq equality tapes come last.  The coordinates, the point's
+    subgradient d and the round's state are locals x{j}, d{j}, ....
+    Pieces are chosen by strict argmax, so exact ties keep the lowest
+    tape index, and then the lowest objective index.  An objective gap
+    that overflows to -inf everywhere is status 5 at objective 0's
+    selected piece.
     """
-    for tp, fn in enumerate(fns):
-        status, bad, values[tp], grads[tp] = fn(x)
-        if status:
-            return status, starts[tp] + bad, 0.0, 0.0
+    J = range(n)
 
-    p = len(obj_ps) - 1
-    phi = float("-inf")
-    jstar = -1
-    for l in range(p):
-        vbest = float("-inf")
-        jb = -1
-        for j in range(obj_ps[l], obj_ps[l + 1]):
-            if values[j] > vbest:
-                vbest = values[j]
-                jb = j
-        fl = vbest - fbar[l]
-        if fl > phi:
-            phi = fl
-            jstar = jb
-    gsel = grads[jstar]
-    for j in range(n):
-        d[j] = gsel[j]
+    def seq(fmt, count=n):  # "a0, a1, " for fmt "a{}"
+        return "".join(fmt.format(j) + ", " for j in range(count))
 
-    pen = 0.0
-    m = len(ineq_ps) - 1
-    for i in range(m):
-        vbest = float("-inf")
-        jb = -1
-        for j in range(ineq_ps[i], ineq_ps[i + 1]):
-            if values[j] > vbest:
-                vbest = values[j]
-                jb = j
-        if vbest > 0.0:
-            pen += vbest * vbest
-            kc = k * vbest
-            gj = grads[jb]
-            for j in range(n):
-                d[j] += kc * gj[j]
-    e0 = ineq_ps[m]
-    for q in range(n_eq):
-        h = values[e0 + q]
-        pen += h * h
-        kc = k * h
-        gj = grads[e0 + q]
-        for j in range(n):
-            d[j] += kc * gj[j]
+    def argmax(a, z, track):  # vb, gb of tapes [a, z); tb: last instruction of the winner
+        tb = (lambda t: f"; tb = {starts[t + 1] - 1}") if track else (lambda t: "")
+        out = [f"vb = v{a}; gb = g{a}" + tb(a)]
+        for t in range(a + 1, z):
+            out.append(f"if v{t} > vb: vb = v{t}; gb = g{t}" + tb(t))
+        return out
 
-    sq = 0.0
-    for j in range(n):
-        dj = x[j] - xbar[j]
-        sq += dj * dj
-        d[j] += dj
-    phik = phi + 0.5 * k * pen + 0.5 * sq
-    return 0, -1, phi, phik
+    def penalty(v, g):  # pen += v^2 and d += (k v) * g
+        return [f"pen += {v} * {v}", f"kc = k * {v}", f"{seq('q{}')}= {g}"] + [
+            f"d{j} += kc * q{j}" for j in J]
+
+    def core(fail):  # phi_k and d at x{j}; fail(bad) leaves with status s
+        out = [f"xt = ({seq('x{}')})"]
+        for t in range(len(fns)):
+            out += [f"s, b, v{t}, g{t} = f{t}(xt)", "if s: " + fail(f"{starts[t]} + b")]
+        for l in range(len(obj_ps) - 1):
+            out += argmax(obj_ps[l], obj_ps[l + 1], l == 0)
+            out += [f"phi = vb - fb{l}", "gs = gb"] if l == 0 else [
+                f"fl = vb - fb{l}", "if fl > phi: phi = fl; gs = gb"]
+        out += ["if phi == -inf: s = 5; " + fail("tb"), f"{seq('d{}')}= gs", "pen = 0.0"]
+        for i in range(len(ineq_ps) - 1):
+            out += argmax(ineq_ps[i], ineq_ps[i + 1], False) + ["if vb > 0.0:"]
+            out += ["    " + line for line in penalty("vb", "gb")]
+        for e in range(ineq_ps[-1], ineq_ps[-1] + n_eq):
+            out += penalty(f"v{e}", f"g{e}")
+        out += [f"e{j} = x{j} - xb{j}" for j in J] + [f"d{j} += e{j}" for j in J]
+        return out + ["sq = 0.0" + "".join(f" + e{j} * e{j}" for j in J),
+                      "phik = phi + 0.5 * k * pen + 0.5 * sq"]
+
+    head = [f"{seq('fb{}', len(obj_ps) - 1)}= fbar", f"{seq('xb{}')}= xbar"]
+    phik = head + [f"{seq('x{}')}= [float(v) for v in x]"] + core(
+        lambda bad: f"return s, {bad}, 0.0, 0.0, ({'0.0, ' * n})")
+    phik.append(f"return 0, -1, phi, phik, ({seq('d{}')})")
+    rnd = head + [f"{seq('x{}')}= [float(v) for v in x_io]"] + [f"a{j} = 0.0" for j in J]
+    rnd += ["n_avg = 0", "f_best = inf", f"x_best = ({seq('x{}')})", "halted = 0",
+            "n_done = 0", "s = 0", "for t in range(1, L + 1):"]
+    rnd += ["    " + line for line in core(lambda bad: f"bad = {bad}; break") + [
+        "n_done = t",
+        "if phik < f_best: f_best = phik; x_best = xt",
+        "nd = sqrt(0.0" + "".join(f" + d{j} * d{j}" for j in J) + ")",
+        "if nd == 0.0: halted = 1; break",
+        "step = c / sqrt(t) / nd",
+        *(f"x{j} = x{j} - step * d{j}" for j in J),
+        *(f"e{j} = x{j} - xb{j}" for j in J),
+        "r = sqrt(0.0" + "".join(f" + e{j} * e{j}" for j in J) + ")",
+        "if r > delta:",
+        "    sc = delta / r",
+        *(f"    x{j} = xb{j} + sc * e{j}" for j in J),
+        "if t >= tail_from:",
+        *(f"    a{j} += x{j}" for j in J),
+        "    n_avg += 1"]]
+    rnd += [f"x_io[:] = ({seq('x{}')})", "if s: return s, bad, f_best, halted, n_done",
+            "x_best_out[:] = x_best",
+            f"x_avg_out[:] = ({seq('a{} / n_avg')}) if n_avg > 0 else ({seq('x{}')})",
+            "return 0, -1, f_best, halted, n_done"]
+    src = "".join(
+        f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
+        for name, args, body in (
+            ("phik_fn", "fbar, xbar, k, x", phik),
+            ("round_fn", "fbar, xbar, k, delta, c, L, tail_from, x_io, x_best_out, x_avg_out", rnd)))
+    namespace = dict(_EMIT_GLOBALS, **{f"f{t}": fn for t, fn in enumerate(fns)})
+    exec(compile(src, f"<program n={n}>", "exec"), namespace)
+    return namespace["phik_fn"], namespace["round_fn"]
 
 
-def eval_phi_k(ops, fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x):
+def eval_phi_k(ops, program, fbar, xbar, k, x):
     """Returns (status, bad_instr, phi, phi_k, d) at the point x, with d
-    the one-selection subgradient of phi_k there (a list of n floats).
+    the one-selection subgradient of phi_k there (a tuple of n floats).
 
-    fns are the `emit_tape` functions of the program's tapes, in order,
-    and starts[t] the index of tape t's first instruction in the flat
-    opcode sequence ops, which only the benchmark tracer reads.
+    program is the `emit_program` pair of the problem and ops the flat
+    opcode sequence of its tapes, which only the benchmark tracer reads.
     """
-    n = len(x)
-    values, grads, d = _workspace(n, len(fns))
-    status, bad, phi, phik = _phik_at(
-        fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
-        k, [float(v) for v in x], n, values, grads, d,
-    )
-    return status, bad, phi, phik, d
+    return program[0](fbar, xbar, k, x)
 
 
-def subgrad_round(ops, fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
-                  k, delta, c, L, tail_from, x_io, x_best_out, x_avg_out):
+def subgrad_round(ops, program, fbar, xbar, k, delta, c, L, tail_from,
+                  x_io, x_best_out, x_avg_out):
     """One restart round of normalized projected subgradient descent.
 
     Steps x <- Pi_ball(x - (c/sqrt(t)) d/||d||) for t = 1..L from x_io,
@@ -385,54 +403,4 @@ def subgrad_round(ops, fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar,
 
     Returns (status, bad_instr, f_best, halted, n_done).
     """
-    n = len(x_io)
-    x = [float(v) for v in x_io]
-    values, grads, d = _workspace(n, len(fns))
-    avg = [0.0] * n
-    n_avg = 0
-    f_best = float("inf")
-    x_best = list(x)
-    halted = 0
-    n_done = 0
-
-    for t in range(1, L + 1):
-        status, bad, phi, phik = _phik_at(
-            fns, starts, obj_ps, ineq_ps, n_eq, fbar, xbar, k, x, n, values, grads, d,
-        )
-        if status:
-            for j in range(n):
-                x_io[j] = x[j]
-            return status, bad, f_best, halted, n_done
-        n_done = t
-        if phik < f_best:
-            f_best = phik
-            x_best = list(x)
-        nd = 0.0
-        for j in range(n):
-            nd += d[j] * d[j]
-        nd = sqrt(nd)
-        if nd == 0.0:
-            halted = 1
-            break
-        step = c / sqrt(t) / nd
-        for j in range(n):
-            x[j] = x[j] - step * d[j]
-        r2 = 0.0
-        for j in range(n):
-            dj = x[j] - xbar[j]
-            r2 += dj * dj
-        r = sqrt(r2)
-        if r > delta:
-            sc = delta / r
-            for j in range(n):
-                x[j] = xbar[j] + sc * (x[j] - xbar[j])
-        if t >= tail_from:
-            for j in range(n):
-                avg[j] += x[j]
-            n_avg += 1
-
-    for j in range(n):
-        x_io[j] = x[j]
-        x_best_out[j] = x_best[j]
-        x_avg_out[j] = avg[j] / n_avg if n_avg > 0 else x[j]
-    return 0, -1, f_best, halted, n_done
+    return program[1](fbar, xbar, k, delta, c, L, tail_from, x_io, x_best_out, x_avg_out)

@@ -81,19 +81,24 @@ def min_norm_point(factors, tol: float = WOLFE_TOL) -> MinNormResult:
     factors: sequence of (scale, generators) with generators of shape
     (k_f, n).  Raises ValueError on an empty factor list and
     ConvergenceError if the iteration cap 10 * (sum k_f)^2 is exhausted
-    without the optimality certificate.
+    without the optimality certificate.  The linear minimization oracle
+    uses each factor scaled once per call and takes the only generator
+    of a one-generator factor without forming G @ d.
     """
     cleaned, n = _validate_factors(factors)
     total_gens = sum(G.shape[0] for _, G in cleaned)
     cap = max(100, 10 * total_gens * total_gens)
 
+    scaled = [(G, s * G) for s, G in cleaned]  # row j of s * G is s * G[j]
+
     def lmo(d: np.ndarray):
         sel = []
         pt = np.zeros(n)
-        for s, G in cleaned:
-            j = int((G @ d).argmin())  # first minimum: lowest index wins ties
+        for G, sG in scaled:
+            # first minimum: lowest index wins ties
+            j = int((G @ d).argmin()) if len(G) > 1 else 0
             sel.append(j)
-            pt = pt + s * G[j]
+            pt = pt + sG[j]
         return tuple(sel), pt
 
     sel0, v0 = lmo(np.zeros(n))

@@ -91,15 +91,15 @@ class PenaltyConfig:
 
 class ProblemKernel:
     """The tapes of one problem as the program the evaluation kernels
-    read, anchored at a base point xbar (objective offsets fbar are
+    run, anchored at a base point xbar (objective offsets fbar are
     frozen at build).
 
-    The program holds each tape compiled to straight-line code for
-    dimension n (`Tape.compiled`, shared by every kernel over an equal
-    tape), the instruction start of each tape in the concatenated
-    opcodes, and the tape ranges of the objectives and inequalities;
-    the equality tapes come last.  `fbar` and `xbar` stay numpy for
-    callers; the kernels get list copies.
+    The tapes are laid out objectives first, then inequalities, then
+    equalities.  The program is the `emit_program` pair over the tapes'
+    straight-line code for dimension n (`Tape.compiled`), built once
+    per distinct layout of equal tapes and shared by every kernel over
+    it; fbar and xbar are its only per-kernel data.  `fbar` and `xbar`
+    stay numpy for callers; the kernels get list copies.
     """
 
     def __init__(self, pr: Problem, xbar):
@@ -127,9 +127,10 @@ class ProblemKernel:
         self.fbar = np.array([fobj.value(xb) for fobj in pr.objectives])
         self._tapes = tapes
         self._starts = starts
+        program = kernels.emit_program(tuple(t.compiled(pr.n) for t in tapes), tuple(starts),
+                                       tuple(obj_ps), tuple(ineq_ps), pr.r, pr.n)
         # ops is not run: the benchmark tracer counts its length as tape instructions
-        self._program = (ops, tuple(t.compiled(pr.n) for t in tapes), starts, obj_ps,
-                         ineq_ps, pr.r, self.fbar.tolist(), xb.tolist())
+        self._program = (ops, program, self.fbar.tolist(), xb.tolist())
 
     def _check_point(self, x):
         """Reject what `eval_grad` rejects, once per call: a point that

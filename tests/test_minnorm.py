@@ -1,4 +1,6 @@
 """Wolfe min-norm points, residuals, and the general/prime relation."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from akkt.minnorm import (
 )
 from akkt.problem import load_problem_dict
 
-from _oracles import min_norm_oracle
+from _oracles import min_norm_oracle, min_norm_point_reference
 from _synthetic import (
     random_minnorm_instance,
     random_multipliers,
@@ -90,6 +92,29 @@ class TestMinNormPoint:
         b = min_norm_point(factors)
         assert a.norm == b.norm
         assert np.array_equal(a.point, b.point)
+
+    def test_matches_the_per_call_lmo_bitwise(self):
+        """The prescaled LMO, which also skips one-generator factors, gives
+        the reference loop's result bit for bit, on factor sets with
+        single generators, duplicate generators (ties) and zero scales."""
+        rng = np.random.default_rng(25)
+
+        def bits(res):
+            return (res.point.tobytes(), struct.pack("<2d", res.norm, res.gap),
+                    [w.tobytes() for w in res.weights], res.iterations)
+
+        for case in range(60):
+            factors, dim = random_minnorm_instance(rng)
+            factors = [(s, np.asarray(g)) for s, g in factors]
+            factors.append((float(rng.uniform(0.1, 2.0)), rng.uniform(-2.0, 2.0, (1, dim))))
+            f = int(rng.integers(0, len(factors)))
+            s, g = factors[f]
+            factors[f] = (s, np.vstack([g, g[::-1]]))
+            if case % 3 == 0:
+                factors[int(rng.integers(0, len(factors)))] = (0.0, factors[0][1])
+            if case % 5 == 0:
+                factors = [(s, g[:1]) for s, g in factors]
+            assert bits(min_norm_point(factors)) == bits(min_norm_point_reference(factors))
 
 
 class TestMultiplierTriple:

@@ -158,6 +158,24 @@ class TestKernelErrorLocation:
                 call()
             assert str(got.value) == str(ref.value)
 
+    def test_objective_gap_overflowing_everywhere_names_the_objective_piece(self):
+        # f(-1) - f(1) = -1e308 - 1e308 overflows to -inf: no objective is
+        # selected, so no subgradient exists there
+        kern = ProblemKernel(load_problem_dict({
+            "name": "overflow", "n": 1, "objectives": [{"pieces": ["1e308*x0"]}],
+            "equalities": ["0.5*x0 - 0.5*x0"]}), [1.0])
+
+        def one_round():
+            x_io = np.array([-1.0])
+            kern.subgrad_round(1.0, 1.0, 0.1, 1, 1, x_io, np.empty(1), np.empty(1))
+
+        calls = (lambda: kern.eval_phik(1.0, [-1.0]), lambda: kern.subgradient(1.0, [-1.0]),
+                 one_round)
+        for call in calls:
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == "non-finite value in subexpression '1e+308 * x0'"
+
 
 class TestBatch:
     @pytest.mark.parametrize("text", ["1/exp(x0)", "exp(-exp(x0))"])
