@@ -310,7 +310,8 @@ def emit_program(fns, starts, obj_ps, ineq_ps, n_eq, n):
     Pieces are chosen by strict argmax, so exact ties keep the lowest
     tape index, and then the lowest objective index.  An objective gap
     that overflows to -inf everywhere is status 5 at objective 0's
-    selected piece.
+    selected piece, and so is a round's step from a subgradient whose
+    norm is not finite.
     """
     J = range(n)
 
@@ -358,6 +359,7 @@ def emit_program(fns, starts, obj_ps, ineq_ps, n_eq, n):
         "if phik < f_best: f_best = phik; x_best = xt",
         "nd = sqrt(0.0" + "".join(f" + d{j} * d{j}" for j in J) + ")",
         "if nd == 0.0: halted = 1; break",
+        "if not nd < inf: s = 5; bad = tb; break",
         "step = c / sqrt(t) / nd",
         *(f"x{j} = x{j} - step * d{j}" for j in J),
         *(f"e{j} = x{j} - xb{j}" for j in J),
@@ -399,7 +401,8 @@ def subgrad_round(ops, program, fbar, xbar, k, delta, c, L, tail_from,
     Steps x <- Pi_ball(x - (c/sqrt(t)) d/||d||) for t = 1..L from x_io,
     tracking the best-by-value iterate and the average of the iterates
     with t >= tail_from.  x_io carries the last iterate out.  A zero
-    subgradient (exact stationarity) ends the round early with halted 1.
+    subgradient (exact stationarity) ends the round early with halted 1;
+    one whose norm is not finite ends it with status 5.
 
     Returns (status, bad_instr, f_best, halted, n_done).
     """

@@ -49,8 +49,6 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_SEQUENCE_COMMANDS = ("penalty", "certify-akkt", "certify-convex")
-
 
 class UsageError(ValueError):
     """Bad command-line input (maps to exit status 2)."""
@@ -92,27 +90,7 @@ def _parse_box(text: str, pr: Problem) -> tuple[np.ndarray, np.ndarray]:
     lo_text, sep, hi_text = text.partition("..")
     if not sep:
         raise UsageError(f"--box must look like LO..HI (points comma-separated), got {text!r}")
-    lo = _parse_point(lo_text, pr)
-    hi = _parse_point(hi_text, pr)
-    return lo, hi
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
-    return obj
+    return _parse_point(lo_text, pr), _parse_point(hi_text, pr)
 
 
 def _record_payload(rec) -> dict:
@@ -138,86 +116,38 @@ def _record_payload(rec) -> dict:
     return out
 
 
-def _verdict_payload(verdicts) -> list[dict]:
-    return [
-        {
-            "condition": v.condition,
-            "outcome": v.outcome,
-            "evidence": v.evidence,
-            "tolerance": v.tolerance,
-        }
-        for v in verdicts
-    ]
+def _sequence(args, pr: Problem, point):
+    """The penalty path of the sequence commands: (its PenaltyConfig as
+    report parameters, the sequence)."""
+    schedule = {} if args.schedule is None else {"schedule": _parse_schedule(args.schedule)}
+    cfg = PenaltyConfig(delta=args.delta, eps_act=args.eps_act, **schedule)
+    return dataclasses.asdict(cfg), generate_akkt_sequence(pr, point, cfg)
 
 
-def _build_config(args, pr: Problem) -> PenaltyConfig:
-    kwargs = {}
-    if args.schedule is not None:
-        kwargs["schedule"] = _parse_schedule(args.schedule)
-    if args.delta is not None:
-        kwargs["delta"] = args.delta
-    if args.eps_act is not None:
-        kwargs["eps_act"] = args.eps_act
-    try:
-        return PenaltyConfig(**kwargs)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+# Each point command maps (args, problem, point) to (verdict holds,
+# report fields, sequence or None); `_run` adds the rest of the report.
 
-
-def _base_report(args, pr: Problem | None = None, point=None) -> dict:
-    rep = {"tool": "akkt", "command": args.command, "seed": getattr(args, "seed", None)}
-    if pr is not None:
-        rep["problem"] = pr.name
-        rep["source"] = args.problem
-    if point is not None:
-        rep["point"] = point
-    return rep
-
-
-def _cmd_penalty(args):
-    pr = resolve_problem(args.problem)
-    point = _parse_point(args.point, pr)
-    cfg = _build_config(args, pr)
-    seq = generate_akkt_sequence(pr, point, cfg)
+def _penalty(args, pr, point):
+    params, seq = _sequence(args, pr, point)
     flagged = [r.k for r in seq.records if r.flagged]
-    report = _base_report(args, pr, point)
-    report.update({
-        "parameters": {
-            "delta": cfg.delta,
-            "schedule": cfg.schedule,
-            "eps_act": cfg.eps_act,
-        },
-        "verdict": "holds" if seq.records and not flagged else "fails",
+    return bool(seq.records) and not flagged, {
+        "parameters": params,
         "records": [_record_payload(r) for r in seq.records],
         "flagged_weights": flagged,
         "notes": [MODEL_NOTE],
-    })
-    code = EXIT_HOLDS if report["verdict"] == "holds" else EXIT_FAILS
-    return code, report, seq
+    }, seq
 
 
-def _cmd_certify_akkt(args):
-    pr = resolve_problem(args.problem)
-    point = _parse_point(args.point, pr)
-    cfg = _build_config(args, pr)
-    seq = generate_akkt_sequence(pr, point, cfg)
+def _certify_akkt(args, pr, point):
+    params, seq = _sequence(args, pr, point)
     verdicts = check_akkt_conditions(
         seq.records, pr, point, tol=args.tol,
-        eps_act=cfg.eps_act, residual_mode=args.mode,
+        eps_act=args.eps_act, residual_mode=args.mode,
     )
-    recovery = kkt_from_akkt(seq.records, pr, point, eps_act=cfg.eps_act)
-    all_hold = all(v.outcome == "holds" for v in verdicts)
-    report = _base_report(args, pr, point)
-    report.update({
-        "parameters": {
-            "delta": cfg.delta,
-            "schedule": cfg.schedule,
-            "tol": args.tol,
-            "eps_act": cfg.eps_act,
-            "mode": args.mode,
-        },
-        "verdict": "holds" if all_hold else "fails",
-        "conditions": _verdict_payload(verdicts),
+    recovery = kkt_from_akkt(seq.records, pr, point, eps_act=args.eps_act)
+    return all(v.outcome == "holds" for v in verdicts), {
+        "parameters": params | {"tol": args.tol, "mode": args.mode},
+        "conditions": verdicts,
         "kkt_recovery": {
             "outcome": recovery.outcome,
             "residual": recovery.residual,
@@ -225,133 +155,79 @@ def _cmd_certify_akkt(args):
         },
         "records": [_record_payload(r) for r in seq.records],
         "notes": [MODEL_NOTE, NORMALIZATION_NOTE],
-    })
-    code = EXIT_HOLDS if all_hold else EXIT_FAILS
-    return code, report, seq
+    }, seq
 
 
-def _cmd_check_kkt(args):
-    pr = resolve_problem(args.problem)
-    point = _parse_point(args.point, pr)
-    eps_act = args.eps_act if args.eps_act is not None else DEFAULT_EPS_ACT
-    res = check_kkt(pr, point, eps_act=eps_act, tol=args.tol)
-    report = _base_report(args, pr, point)
-    report.update({
-        "parameters": {"tol": args.tol, "eps_act": eps_act},
-        "verdict": "holds" if res.holds else "fails",
+def _check_kkt(args, pr, point):
+    res = check_kkt(pr, point, eps_act=args.eps_act, tol=args.tol)
+    return res.holds, {
+        "parameters": {"tol": args.tol, "eps_act": args.eps_act},
         "residual": res.residual,
-        "multipliers": {
-            "lambda": res.mult.lam,
-            "mu": res.mult.mu,
-            "tau": res.mult.tau,
-        },
+        "multipliers": {"lambda": res.mult.lam, "mu": res.mult.mu, "tau": res.mult.tau},
         "active_inequalities": res.active_inequalities,
         "notes": [MODEL_NOTE, NORMALIZATION_NOTE],
-    })
-    code = EXIT_HOLDS if res.holds else EXIT_FAILS
-    return code, report, None
+    }, None
 
 
-def _cmd_certify_convex(args):
-    pr = resolve_problem(args.problem)
-    point = _parse_point(args.point, pr)
-    cfg = _build_config(args, pr)
-    seq = generate_akkt_sequence(pr, point, cfg)
+def _certify_convex(args, pr, point):
+    params, seq = _sequence(args, pr, point)
     cert = certify_weak_efficiency_convex(
-        pr, point, seq.records, tol=args.tol, seed=args.seed, eps_act=cfg.eps_act,
+        pr, point, seq.records, tol=args.tol, seed=args.seed, eps_act=args.eps_act,
     )
-    report = _base_report(args, pr, point)
-    report.update({
-        "parameters": {
-            "delta": cfg.delta,
-            "schedule": cfg.schedule,
-            "tol": args.tol,
-            "eps_act": cfg.eps_act,
-            "seed": args.seed,
-        },
-        "verdict": "holds" if cert.certified else "fails",
-        "conditions": _verdict_payload(cert.verdicts),
+    return cert.certified, {
+        "parameters": params | {"tol": args.tol, "seed": args.seed},
+        "conditions": cert.verdicts,
         "evidence": cert.evidence,
         "notes": [MODEL_NOTE, NORMALIZATION_NOTE],
-    })
-    code = EXIT_HOLDS if cert.certified else EXIT_FAILS
-    return code, report, seq
+    }, seq
 
 
-def _cmd_oracle(args):
-    pr = resolve_problem(args.problem)
-    point = _parse_point(args.point, pr)
+def _oracle(args, pr, point):
     lo, hi = _parse_box(args.box, pr)
-    try:
-        res = weak_efficiency_oracle(pr, point, lo, hi, step=args.step)
-    except DomainError:
-        raise  # a ValueError too, but a numerical failure: main() exits 3
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    report = _base_report(args, pr, point)
-    report.update({
+    res = weak_efficiency_oracle(pr, point, lo, hi, step=args.step)
+    return res.weakly_efficient, dataclasses.asdict(res) | {
         "parameters": {"box_lo": lo, "box_hi": hi, "step": args.step},
-        "verdict": "holds" if res.weakly_efficient else "fails",
-        "weakly_efficient": res.weakly_efficient,
-        "counterexample": res.counterexample,
-        "points_checked": res.points_checked,
-        "feasible_points": res.feasible_points,
         "notes": [MODEL_NOTE],
-    })
-    code = EXIT_HOLDS if res.weakly_efficient else EXIT_FAILS
-    return code, report, None
-
-
-def _cmd_catalog(args):
-    rows = [
-        {
-            "name": pr.name,
-            "source": f"builtin:{pr.name}",
-            "n": pr.n,
-            "objectives": pr.p,
-            "inequalities": pr.m,
-            "equalities": pr.r,
-            "convex_flags": [fn.convex for fn in pr.objectives],
-        }
-        for pr in catalog()
-    ]
-    report = _base_report(args)
-    report.update({"verdict": "holds", "problems": rows})
-    return EXIT_HOLDS, report, None
+    }, None
 
 
 _HANDLERS = {
-    "penalty": _cmd_penalty,
-    "certify-akkt": _cmd_certify_akkt,
-    "check-kkt": _cmd_check_kkt,
-    "certify-convex": _cmd_certify_convex,
-    "oracle": _cmd_oracle,
-    "catalog": _cmd_catalog,
+    "penalty": _penalty,
+    "certify-akkt": _certify_akkt,
+    "check-kkt": _check_kkt,
+    "certify-convex": _certify_convex,
+    "oracle": _oracle,
 }
 
 
-def _add_common(sub, *, point=True, tol_default=1e-6):
-    if point:
-        sub.add_argument("problem", help="problem source: a file path or builtin:<name>")
-        sub.add_argument("--point", required=True,
-                         help="candidate point, comma-separated reals")
-    sub.add_argument("--tol", type=float, default=tol_default,
-                     help=f"verdict tolerance (default {tol_default:g})")
-    sub.add_argument("--eps-act", type=float, default=None, dest="eps_act",
-                     help="activity tolerance for subdifferential polytopes")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for sampled spot checks (default 0)")
-    sub.add_argument("--report", default=None,
-                     help="write the JSON report to this path instead of stdout")
+def _run(args) -> tuple:
+    """(exit code, report, sequence or None) of one parsed command."""
+    report = {"tool": "akkt", "command": args.command, "seed": getattr(args, "seed", None)}
+    if args.command == "catalog":
+        holds, seq = True, None
+        report["problems"] = [
+            {
+                "name": pr.name,
+                "source": f"builtin:{pr.name}",
+                "n": pr.n,
+                "objectives": pr.p,
+                "inequalities": pr.m,
+                "equalities": pr.r,
+                "convex_flags": [fn.convex for fn in pr.objectives],
+            }
+            for pr in catalog()
+        ]
+    else:
+        pr = resolve_problem(args.problem)
+        point = _parse_point(args.point, pr)
+        report.update(problem=pr.name, source=args.problem, point=point)
+        holds, fields, seq = _HANDLERS[args.command](args, pr, point)
+        report.update(fields)
+    report["verdict"] = "holds" if holds else "fails"
+    return (EXIT_HOLDS if holds else EXIT_FAILS), report, seq
 
 
-def _add_sequence_flags(sub):
-    sub.add_argument("--delta", type=float, default=None,
-                     help="trust-ball radius around the candidate point")
-    sub.add_argument("--schedule", default=None,
-                     help="penalty weights: geometric:A..B or a comma list")
-    sub.add_argument("--csv", default=None,
-                     help="also export the sequence records as CSV to this path")
+_REPORT_HELP = "write the JSON report to this path instead of stdout"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,41 +238,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("penalty", help="generate a penalty-path AKKT sequence")
-    _add_common(p)
-    _add_sequence_flags(p)
+    def command(name, help, *, tol=None, eps_act=True, sequence=False):
+        """A point command; only the flags it reads: --tol (with this
+        default) and --eps-act where a verdict or a model uses them, and
+        the penalty-path flags on the sequence commands."""
+        sub = subs.add_parser(name, help=help)
+        sub.add_argument("problem", help="problem source: a file path or builtin:<name>")
+        sub.add_argument("--point", required=True,
+                         help="candidate point, comma-separated reals")
+        if tol is not None:
+            sub.add_argument("--tol", type=float, default=tol,
+                             help=f"verdict tolerance (default {tol:g})")
+        if eps_act:
+            sub.add_argument("--eps-act", type=float, default=DEFAULT_EPS_ACT, dest="eps_act",
+                             help="activity tolerance for subdifferential polytopes")
+        sub.add_argument("--seed", type=int, default=0,
+                         help="seed for sampled spot checks (default 0)")
+        sub.add_argument("--report", default=None, help=_REPORT_HELP)
+        if sequence:
+            sub.add_argument("--delta", type=float, default=PenaltyConfig.delta,
+                             help="trust-ball radius around the candidate point")
+            sub.add_argument("--schedule", default=None,
+                             help="penalty weights: geometric:A..B or a comma list")
+            sub.add_argument("--csv", default=None,
+                             help="also export the sequence records as CSV to this path")
+        return sub
 
-    p = subs.add_parser("certify-akkt", help="certify the AKKT conditions on a sequence")
-    _add_common(p, tol_default=1e-2)
-    _add_sequence_flags(p)
-    p.add_argument("--mode", choices=("general", "prime"), default="general",
-                   help="equality-sign handling in the residual (default general)")
-
-    p = subs.add_parser("check-kkt", help="test exact KKT stationarity at a point")
-    _add_common(p)
-
-    p = subs.add_parser("certify-convex",
-                        help="convex-case weak-efficiency certificate")
-    _add_common(p)
-    _add_sequence_flags(p)
-
-    p = subs.add_parser("oracle", help="brute-force weak-efficiency scan (n <= 3)")
-    _add_common(p)
+    command("penalty", "generate a penalty-path AKKT sequence", sequence=True)
+    command("certify-akkt", "certify the AKKT conditions on a sequence",
+            tol=1e-2, sequence=True).add_argument(
+        "--mode", choices=("general", "prime"), default="general",
+        help="equality-sign handling in the residual (default general)")
+    command("check-kkt", "test exact KKT stationarity at a point", tol=1e-6)
+    command("certify-convex", "convex-case weak-efficiency certificate",
+            tol=1e-6, sequence=True)
+    p = command("oracle", "brute-force weak-efficiency scan (n <= 3)", eps_act=False)
     p.add_argument("--box", required=True,
                    help="search box LO..HI with comma-separated corner points; "
                         "use the --box=-1..1 form for a negative lower corner")
     p.add_argument("--step", type=float, default=1e-3,
                    help="grid step (default 1e-3)")
 
-    p = subs.add_parser("catalog", help="list the built-in problems")
-    p.add_argument("--report", default=None,
-                   help="write the JSON report to this path instead of stdout")
-
+    subs.add_parser("catalog", help="list the built-in problems").add_argument(
+        "--report", default=None, help=_REPORT_HELP)
     return parser
 
 
+def _encode(obj):
+    """What json cannot encode itself: numpy arrays and scalars, and
+    dataclasses (as the dict of their fields; json encodes the values,
+    so nothing is deep-copied as by `dataclasses.asdict`)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, path: str | None) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, default=_encode) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -405,32 +305,25 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "csv", None) and args.command not in _SEQUENCE_COMMANDS:
-        print(f"error: --csv is not supported by {args.command!r}", file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     tol = getattr(args, "tol", 0.0)
     if not (tol >= 0 and math.isfinite(tol)):
         print(f"error: --tol must be finite and >= 0, got {tol!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        code, report, seq = _HANDLERS[args.command](args)
+        code, report, seq = _run(args)
     except (DomainError, ConvergenceError, FloatingPointError) as e:
         # must precede ValueError: DomainError is a ValueError subclass
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (KeyError, OSError, ValueError) as e:
-        # unknown builtin, unreadable file, schema violation, infeasible
-        # base point, unsatisfied convexity hypothesis, ...
+        # a UsageError, unknown builtin, unreadable file, schema violation,
+        # infeasible base point, unsatisfied convexity hypothesis, ...
         msg = e.args[0] if e.args else e
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_USAGE
     _emit(report, args.report)
-    if seq is not None and getattr(args, "csv", None):
+    if getattr(args, "csv", None):
         save_sequence_csv(seq, args.csv)
     return code
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,25 +248,20 @@ def residual_m_detail(pr: Problem, x, mult: MultiplierTriple,
 
     grads_h = eval_tapes(pr.eq_tapes, xa)[1]
 
-    def branch_factors(signs):
-        branch = list(factors)
-        for j, gh in enumerate(grads_h):
-            branch.append((abs(float(mult.tau[j])), (signs[j] * gh)[None, :]))
-        return branch
-
     if mode == "prime":
-        signs = tuple(1.0 if float(t) >= 0.0 else -1.0 for t in mult.tau)
-        res = min_norm_point(branch_factors(signs))
-        return res.norm, res, signs
-
-    if pr.r > MAX_SIGN_BRANCHES:
+        branches = [tuple(1.0 if float(t) >= 0.0 else -1.0 for t in mult.tau)]
+    elif pr.r > MAX_SIGN_BRANCHES:
         raise ValueError(
             f"sign-branch enumeration supports at most {MAX_SIGN_BRANCHES} "
             f"equalities, got {pr.r}"
         )
+    else:
+        branches = itertools.product((1.0, -1.0), repeat=pr.r)
     best = None
-    for signs in itertools.product((1.0, -1.0), repeat=pr.r):
-        res = min_norm_point(branch_factors(signs))
+    for signs in branches:
+        branch = factors + [(abs(float(mult.tau[j])), (signs[j] * gh)[None, :])
+                            for j, gh in enumerate(grads_h)]
+        res = min_norm_point(branch)
         if best is None or res.norm < best[0]:
             best = (res.norm, res, signs)
     return best

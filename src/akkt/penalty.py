@@ -203,23 +203,15 @@ def stationarity_model(kern: ProblemKernel, x, k: float,
     xa = np.asarray(x, dtype=np.float64)
     k = float(k)
 
-    gaps = []
-    details = []
-    for l, fobj in enumerate(pr.objectives):
-        vmax, vals, grads = fobj.value_and_gradients(xa)
-        gaps.append(vmax - float(kern.fbar[l]))
-        details.append((vmax, vals, grads))
+    sds = [subdifferential(fobj, xa, eps_act) for fobj in pr.objectives]
+    gaps = [sd.value - float(fb) for sd, fb in zip(sds, kern.fbar)]
     phi = max(gaps)
-
     gens0 = []
     owners = []
-    for l, gap in enumerate(gaps):
+    for l, (sd, gap) in enumerate(zip(sds, gaps)):
         if gap >= phi - eps_act:
-            vmax, vals, grads = details[l]
-            for j, v in enumerate(vals):
-                if v >= vmax - eps_act:
-                    gens0.append(grads[j])
-                    owners.append(l)
+            gens0.append(sd.generators)
+            owners += [l] * len(sd.active)
     factors = [(1.0, np.vstack(gens0))]
 
     for gfn in pr.inequalities:

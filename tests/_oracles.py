@@ -258,6 +258,11 @@ def round_reference(kern, k, delta, c, L, tail_from, x_io, x_best_out, x_avg_out
         if nd == 0.0:
             halted = 1
             break
+        if not nd < math.inf:  # at the last instruction of objective 0's selected piece
+            j0 = max(range(obj_ps[0], obj_ps[1]), key=lambda j: (values[j], -j))
+            for j in range(n):
+                x_io[j] = x[j]
+            return 5, starts[j0 + 1] - 1, f_best, halted, n_done
         step = c / math.sqrt(t) / nd
         for j in range(n):
             x[j] = x[j] - step * d[j]

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, exit codes, reports, determinism."""
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from akkt import cli
-from akkt.problem import builtin, load_problem_dict, save_problem
+from akkt.problem import load_problem_dict, save_problem
 
 P1 = "builtin:mangasarian"
 P2 = "builtin:abs-biobjective"
@@ -210,6 +213,17 @@ class TestUsageErrors:
                  "--csv", str(tmp_path / "x.csv")])
         assert ei.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["penalty", P1, "--point", "0", "--tol", "1"],
+        ["oracle", P1, "--point", "0", "--box=-1..1", "--tol", "1"],
+        ["oracle", P1, "--point", "0", "--box=-1..1", "--eps-act", "0"],
+    ])
+    def test_flags_a_command_does_not_read_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            run(argv)
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as ei:
             run(["frobnicate"])
@@ -242,14 +256,92 @@ class TestNumericalFailures:
 
 
 class TestDeterminism:
-    def test_reports_and_csv_are_byte_identical(self, tmp_path):
-        pairs = []
+    @staticmethod
+    def _assert_two_runs_identical(tmp_path, argv, csv=True):
+        runs = []
         for tag in ("a", "b"):
             rpath = tmp_path / f"rep-{tag}.json"
             cpath = tmp_path / f"seq-{tag}.csv"
-            code = run(["certify-akkt", P3, "--point", "0.5,0.5",
-                        "--schedule", "geometric:1..1e6", "--seed", "7",
-                        "--report", str(rpath), "--csv", str(cpath)])
-            assert code == 0
-            pairs.append((rpath.read_bytes(), cpath.read_bytes()))
-        assert pairs[0] == pairs[1]
+            extra = ["--csv", str(cpath)] if csv else []
+            assert run([*argv, "--report", str(rpath), *extra]) == 0
+            runs.append((rpath.read_bytes(), cpath.read_bytes() if csv else None))
+        assert runs[0] == runs[1]
+
+    def test_reports_and_csv_are_byte_identical(self, tmp_path):
+        self._assert_two_runs_identical(
+            tmp_path, ["certify-akkt", P3, "--point", "0.5,0.5",
+                       "--schedule", "geometric:1..1e6", "--seed", "7"])
+
+    @pytest.mark.parametrize("argv, csv", [
+        (["penalty", P3, "--point", "0.5,0.5"], True),
+        (["check-kkt", P2, "--point", "0.5"], False),
+        (["certify-convex", P2, "--point", "0.5", "--seed", "7"], True),
+        (["oracle", P1, "--point", "0", "--box=-1..1", "--step", "0.01"], False),
+        (["catalog"], False),
+    ], ids=["penalty", "check-kkt", "certify-convex", "oracle", "catalog"])
+    def test_every_other_command_is_byte_identical(self, tmp_path, argv, csv):
+        self._assert_two_runs_identical(tmp_path, argv, csv)
+
+
+@dataclasses.dataclass
+class _Inner:
+    value: object
+
+
+@dataclasses.dataclass
+class _Outer:
+    name: str
+    inner: _Inner
+
+
+class TestReportEncoding:
+    def test_canonical_text_of_every_value_kind(self, capsys):
+        cli._emit({
+            "zero": np.float64(-0.0),
+            "floats": [math.nan, math.inf, -math.inf, np.float64(0.1)],
+            "count": np.int64(3),
+            "flag": np.bool_(True),
+            "matrix": np.array([[1.0, -0.0], [2.5, 3.0]]),
+            "pair": (1, "a"),
+            "nested": _Outer("o", _Inner(np.array([np.int64(4)]))),
+            "none": None,
+        }, None)
+        assert capsys.readouterr().out == """{
+  "count": 3,
+  "flag": true,
+  "floats": [
+    NaN,
+    Infinity,
+    -Infinity,
+    0.1
+  ],
+  "matrix": [
+    [
+      1.0,
+      -0.0
+    ],
+    [
+      2.5,
+      3.0
+    ]
+  ],
+  "nested": {
+    "inner": {
+      "value": [
+        4
+      ]
+    },
+    "name": "o"
+  },
+  "none": null,
+  "pair": [
+    1,
+    "a"
+  ],
+  "zero": -0.0
+}
+"""
+
+    def test_unknown_types_are_refused(self):
+        with pytest.raises(TypeError, match="complex"):
+            cli._emit({"z": 1j}, None)

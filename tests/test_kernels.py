@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import akkt._kernels_py as kernels_py
+from akkt.expr import DomainError
 from akkt.penalty import ProblemKernel
 from akkt.problem import builtin, load_problem_dict
 
@@ -120,6 +121,15 @@ def test_overflowing_objective_gap_agrees():
         "equalities": ["0.5*x0 - 0.5*x0"]}), [1.0])
     assert _assert_phik_agrees(kern, 1.0, [-1.0])[:2] == (5, 2)
     assert _assert_round_agrees(kern, 1.0, [-1.0])[:2] == (5, 2)
+
+
+def test_overflowing_subgradient_norm_ends_the_round():
+    # d = 1e308 - 0.5 is finite but its norm is not, so the step would be 0
+    kern = ProblemKernel(load_problem_dict({
+        "name": "steep", "n": 1, "objectives": [{"pieces": ["1e308*x0"]}]}), [1.0])
+    assert _assert_round_agrees(kern, 1.0, [0.5], delta=3.0, c=1.0, L=5) == (5, 2, 0, 1)
+    with pytest.raises(DomainError, match="non-finite value in subexpression '1e"):
+        kern.subgrad_round(1.0, 3.0, 1.0, 5, 1, np.array([0.5]), np.zeros(1), np.zeros(1))
 
 
 def test_equal_problems_share_one_program():
