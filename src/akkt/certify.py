@@ -564,13 +564,42 @@ def _batch_max(fn, coords: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return fmax
 
 
+def _grid_block(axes, counts, start: int, size: int) -> np.ndarray:
+    """Rows start .. start + size - 1 of the lexicographic grid over axes
+    (last axis fastest), as a (size, n) array.  Each axis column is a
+    run-length pattern: axis d repeats each value for the product of the
+    later counts, cycling through its values, so no flat index is decoded."""
+    coords = np.empty((size, len(axes)))
+    last, s0 = axes[-1], start % counts[-1]
+    if counts[-1] < size:
+        coords[:, -1] = np.resize(np.roll(last, -s0), size)
+    else:  # at most one wrap: the axis from s0 on, then from its start
+        head = last[s0:s0 + size]
+        coords[:head.size, -1] = head
+        coords[head.size:, -1] = last[:size - head.size]
+    run = counts[-1]
+    for d in range(len(axes) - 2, -1, -1):
+        first, offset = divmod(start, run)
+        n_runs = (offset + size - 1) // run + 1
+        reps = np.full(n_runs, run)
+        reps[0] -= offset
+        reps[-1] -= n_runs * run - offset - size
+        coords[:, d] = np.repeat(axes[d][(first + np.arange(n_runs)) % counts[d]], reps)
+        run *= counts[d]
+    return coords
+
+
 def weak_efficiency_oracle(pr: Problem, xbar, lo, hi, step: float = 1e-3) -> OracleResult:
     """Brute-force weak-efficiency check on a grid (n <= 3).
 
     A counterexample is a grid point with constraint violation <= 1e-8
     that improves every objective by more than 1e-9.  Grid points where
-    a domain guard trips count as infeasible.  The scan is lexicographic
-    and reports the first counterexample found.
+    a domain guard trips, in a constraint or an objective, count as
+    infeasible.  The constraints are evaluated on every grid point and
+    the objectives only on the points that satisfy them.  The scan is
+    lexicographic, in blocks of 65,536 points, and reports the first
+    counterexample found; `feasible_points` then counts the feasible
+    points up to the end of the block that holds it, not of the grid.
     """
     if pr.n > 3:
         raise ValueError("the grid oracle supports at most 3 variables")
@@ -592,17 +621,8 @@ def weak_efficiency_oracle(pr: Problem, xbar, lo, hi, step: float = 1e-3) -> Ora
     feasible_total = 0
     block = 1 << 16
     for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total))
-        coords = np.empty((idx.size, pr.n))
-        rem = idx
-        for d in range(pr.n - 1, -1, -1):
-            rem, col = np.divmod(rem, counts[d])
-            coords[:, d] = axes[d][col]
-
-        ok = np.ones(idx.size, dtype=bool)
-        dominates = np.ones(idx.size, dtype=bool)
-        for l, fobj in enumerate(pr.objectives):
-            dominates &= _batch_max(fobj, coords, ok) < fbar[l] - 1e-9
+        coords = _grid_block(axes, counts, start, min(block, total - start))
+        ok = np.ones(coords.shape[0], dtype=bool)
         for gfn in pr.inequalities:
             ok &= _batch_max(gfn, coords, ok) <= 1e-8
         for h in pr.equalities:
@@ -610,13 +630,17 @@ def weak_efficiency_oracle(pr: Problem, xbar, lo, hi, step: float = 1e-3) -> Ora
             ok &= good
             ok &= np.abs(vals) <= 1e-8
 
+        feasible = coords[np.flatnonzero(ok)]
+        ok = np.ones(feasible.shape[0], dtype=bool)
+        dominates = np.ones(feasible.shape[0], dtype=bool)
+        for l, fobj in enumerate(pr.objectives):
+            dominates &= _batch_max(fobj, feasible, ok) < fbar[l] - 1e-9
         feasible_total += int(ok.sum())
         hit = ok & dominates
-        if np.any(hit):
-            first = int(np.argmax(hit))
+        if hit.any():
             return OracleResult(
                 weakly_efficient=False,
-                counterexample=tuple(float(v) for v in coords[first]),
+                counterexample=tuple(float(v) for v in feasible[int(hit.argmax())]),
                 points_checked=total,
                 feasible_points=feasible_total,
             )

@@ -13,7 +13,8 @@ Every verdict-bearing run emits one JSON report (stdout, or ``--report``),
 byte-identical across repeated runs with the same arguments and seed.
 
 Exit codes: 0 verdict holds; 1 verdict fails or is inconclusive;
-2 usage/configuration error; 3 numerical failure.
+2 usage/configuration error or an output path that cannot be written;
+3 numerical failure.
 """
 from __future__ import annotations
 
@@ -322,9 +323,16 @@ def main(argv=None) -> int:
         msg = e.args[0] if e.args else e
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(report, args.report)
-    if getattr(args, "csv", None):
-        save_sequence_csv(seq, args.csv)
+    # the CSV first, so that a CSV that cannot be written leaves no report
+    path = getattr(args, "csv", None)
+    try:
+        if path:
+            save_sequence_csv(seq, path)
+        path = args.report
+        _emit(report, path)
+    except OSError as e:
+        print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -190,7 +190,9 @@ def eval_batch(e: Expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"expression uses x{tape.n_min - 1} but points have dimension {X.shape[1]}"
         )
     stack: list[np.ndarray] = []
-    ok = np.isfinite(X).all(axis=1)
+    ok = np.ones(m, dtype=bool)
+    for j in range(X.shape[1]):
+        ok &= np.isfinite(X[:, j])
     with np.errstate(all="ignore"):
         for op, a in zip(tape.ops, tape.arg):
             if op == OP_CONST:

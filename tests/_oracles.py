@@ -8,18 +8,20 @@ central finite difference.  The one-selection subgradient reference
 evaluates phi_k piece by piece through the scalar tape path instead of
 the kernel's single pass over the problem's concatenated program.
 
-The phi_k, subgradient-round and Wolfe references are not independent:
-they are the interpreted loops that the generated phi_k program and the
-prescaled Wolfe linear minimization oracle replaced, kept to check those
-bitwise.  They run the package's tape functions and Wolfe helpers.
+The phi_k, subgradient-round, Wolfe and grid-oracle references are not
+independent: they are the interpreted loops that the generated phi_k
+program, the prescaled Wolfe linear minimization oracle and the
+constraints-first grid scan replaced, kept to check those bitwise.  They
+run the package's tape functions, batch evaluator and Wolfe helpers.
 """
 import itertools
 import math
 
 import numpy as np
 
+from akkt.certify import OracleResult
 from akkt.minnorm import ConvergenceError, MinNormResult, _affine_min_norm, _validate_factors
-from akkt.tape import eval_grad, eval_value
+from akkt.tape import _check_point, eval_batch, eval_grad, eval_value
 
 
 def min_norm_oracle(factors):
@@ -366,3 +368,77 @@ def min_norm_point_reference(factors, tol: float = 1e-10) -> MinNormResult:
         weights.append(w)
     return MinNormResult(point=x, norm=float(np.linalg.norm(x)), weights=tuple(weights),
                          iterations=iterations, gap=float(gap))
+
+
+def weak_efficiency_oracle_reference(pr, xbar, lo, hi, step: float = 1e-3) -> OracleResult:
+    """The grid scan that evaluates every objective, inequality and
+    equality on every grid point and decodes each block's coordinates
+    from the flat indices with divmod."""
+    if pr.n > 3:
+        raise ValueError("the grid oracle supports at most 3 variables")
+    xb = _check_point(xbar)
+    lo_a = np.broadcast_to(np.asarray(lo, dtype=np.float64), (pr.n,)).copy()
+    hi_a = np.broadcast_to(np.asarray(hi, dtype=np.float64), (pr.n,)).copy()
+    if not (np.all(np.isfinite(lo_a)) and np.all(np.isfinite(hi_a))):
+        raise ValueError("the grid box corners must be finite")
+    if np.any(lo_a > xb) or np.any(hi_a < xb):
+        raise ValueError("the grid box must contain the candidate point")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError("step must be positive and finite")
+
+    def batch_max(fn, coords, ok):
+        fmax = np.full(coords.shape[0], -np.inf)
+        for piece in fn.pieces:
+            vals, good = eval_batch(piece, coords)
+            ok &= good
+            fmax = np.maximum(fmax, vals)
+        return fmax
+
+    axes = [np.arange(lo_a[d], hi_a[d] + 0.5 * step, step) for d in range(pr.n)]
+    counts = [len(a) for a in axes]
+    total = int(np.prod(counts))
+    fbar = np.array([fobj.value(xb) for fobj in pr.objectives])
+
+    feasible_total = 0
+    block = 1 << 16
+    for start in range(0, total, block):
+        coords = divmod_grid_block(axes, counts, start, min(block, total - start))
+        ok = np.ones(coords.shape[0], dtype=bool)
+        dominates = np.ones(coords.shape[0], dtype=bool)
+        for l, fobj in enumerate(pr.objectives):
+            dominates &= batch_max(fobj, coords, ok) < fbar[l] - 1e-9
+        for gfn in pr.inequalities:
+            ok &= batch_max(gfn, coords, ok) <= 1e-8
+        for h in pr.equalities:
+            vals, good = eval_batch(h, coords)
+            ok &= good
+            ok &= np.abs(vals) <= 1e-8
+
+        feasible_total += int(ok.sum())
+        hit = ok & dominates
+        if np.any(hit):
+            first = int(np.argmax(hit))
+            return OracleResult(
+                weakly_efficient=False,
+                counterexample=tuple(float(v) for v in coords[first]),
+                points_checked=total,
+                feasible_points=feasible_total,
+            )
+    return OracleResult(
+        weakly_efficient=True,
+        counterexample=None,
+        points_checked=total,
+        feasible_points=feasible_total,
+    )
+
+
+def divmod_grid_block(axes, counts, start, size) -> np.ndarray:
+    """Rows start .. start + size - 1 of the lexicographic grid over
+    `axes` (last axis fastest), each flat index decoded with divmod."""
+    idx = np.arange(start, start + size)
+    coords = np.empty((size, len(axes)))
+    rem = idx
+    for d in range(len(axes) - 1, -1, -1):
+        rem, col = np.divmod(rem, counts[d])
+        coords[:, d] = axes[d][col]
+    return coords

@@ -8,6 +8,7 @@ import pytest
 from akkt.certify import (
     CertReport,
     Verdict,
+    _grid_block,
     certify_weak_efficiency_convex,
     check_akkt_conditions,
     check_kkt,
@@ -15,6 +16,7 @@ from akkt.certify import (
     kkt_from_akkt,
     weak_efficiency_oracle,
 )
+from akkt.expr import DomainError
 from akkt.minnorm import MultiplierTriple, residual_m
 from akkt.penalty import (
     PenaltyConfig,
@@ -25,6 +27,9 @@ from akkt.penalty import (
 )
 from akkt.problem import builtin, feasibility_violation, load_problem_dict
 from akkt.tape import eval_value
+
+from _oracles import divmod_grid_block, weak_efficiency_oracle_reference
+from _synthetic import _poly
 
 CONDITIONS = ("A0", "A1", "A2", "A3", "E1", "E2", "SGN", "SCZ")
 
@@ -368,6 +373,162 @@ class TestOracle:
     def test_box_corners_must_be_finite(self, p1, lo, hi):
         with pytest.raises(ValueError, match="box corners must be finite"):
             weak_efficiency_oracle(p1, [0.0], lo, hi)
+
+
+def _oracle_fields(res):
+    """Every OracleResult field, the counterexample's floats bitwise."""
+    cx = res.counterexample
+    return (res.weakly_efficient, None if cx is None else tuple(v.hex() for v in cx),
+            res.points_checked, res.feasible_points)
+
+
+def _guarded_atom(rng, n):
+    """A piece that may trip a log, sqrt or division guard on the grid."""
+    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
+    c = float(rng.integers(-4, 5)) / 8.0
+    return (
+        _poly(rng, n),
+        f"log(x{i} + {c!r})",
+        f"sqrt({c!r} - x{i})",
+        f"{c!r} / x{i}",
+        f"x{i} / (x{j} - {c!r})",
+        f"x{i}^-2 - 4",
+    )[int(rng.integers(0, 6))]
+
+
+def _grid_exact_equality(rng, n):
+    """An equality that holds exactly at some dyadic grid points."""
+    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
+    c = float(rng.integers(-4, 5)) / 8.0
+    return (f"x{i} - x{j}", f"x{i} * x{j}", f"x{i} + x{j} - {c!r}",
+            f"x{i}^2 - x{j}", f"x{i} - {c!r}")[int(rng.integers(0, 5))]
+
+
+def _guarded_problem(rng, n):
+    def fn():
+        return {"pieces": [_guarded_atom(rng, n) for _ in range(int(rng.integers(1, 3)))],
+                "convex": False}
+
+    def ineq():
+        entry = fn()
+        entry["pieces"] = [f"{p} - {float(rng.uniform(-1, 1))!r}" for p in entry["pieces"]]
+        return entry
+
+    return load_problem_dict({
+        "name": "guarded", "n": n,
+        "objectives": [fn() for _ in range(int(rng.integers(1, 4)))],
+        "inequalities": [ineq() for _ in range(int(rng.integers(0, 3)))],
+        "equalities": [_grid_exact_equality(rng, n) for _ in range(int(rng.integers(0, 2)))],
+    })
+
+
+# grid steps per dimension: the largest grids span 3-5 blocks of 65,536
+# points and none ends on a block boundary
+_STEPS = {1: (2.0 ** -6, 2.0 ** -16), 2: (2.0 ** -4, 2.0 ** -8), 3: (2.0 ** -2, 2.0 ** -5)}
+
+
+def _oracle_case(seed):
+    """(problem, candidate grid point, box corners, step) for one seed:
+    n = 1..3 over the box [-1, 1]^n; the point is redrawn until every
+    objective is defined there, the problem until such a point is found."""
+    rng = np.random.default_rng([seed, 14])
+    n = seed % 3 + 1
+    step = _STEPS[n][int(rng.integers(0, 2))]
+    lo = -np.ones(n)
+    counts = int(round(2.0 / step)) + 1
+    while True:
+        pr = _guarded_problem(rng, n)
+        for _ in range(50):
+            xbar = lo + step * rng.integers(0, counts, size=n)
+            try:
+                [f.value(xbar) for f in pr.objectives]
+            except DomainError:
+                continue
+            return pr, xbar, lo, lo + 2.0, step
+
+
+class TestOracleAgainstReference:
+    """The constraints-first scan gives the full scan's result field for
+    field: the reference evaluates every function on every grid point."""
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_seeded_guarded_problems(self, seed):
+        pr, xbar, lo, hi, step = _oracle_case(seed)
+        got = weak_efficiency_oracle(pr, xbar, lo, hi, step=step)
+        want = weak_efficiency_oracle_reference(pr, xbar, lo, hi, step=step)
+        assert _oracle_fields(got) == _oracle_fields(want)
+
+    def test_outcomes_covered(self):
+        # the seeds above refute some points, confirm others, and give
+        # grids without a single feasible point
+        seen = set()
+        for seed in range(36):
+            pr, xbar, lo, hi, step = _oracle_case(seed)
+            res = weak_efficiency_oracle(pr, xbar, lo, hi, step=step)
+            seen.add((res.weakly_efficient, res.feasible_points == 0))
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_counterexample_in_a_later_block(self):
+        # 131,073 grid points over [0, 4]: block 0 holds x0 < 2, where the
+        # inequality leaves no feasible point; the sqrt guard of the
+        # objective makes x0 <= 2.75 infeasible, and the first dominating
+        # point is the next grid point, in block 1
+        pr = load_problem_dict({
+            "name": "later-block", "n": 1,
+            "objectives": [{"pieces": ["sqrt(x0 - 2.75) - x0"], "convex": False}],
+            "inequalities": [{"pieces": ["2.5 - x0"], "convex": True}],
+            "equalities": [],
+        })
+        step = 2.0 ** -15
+        got = weak_efficiency_oracle(pr, [3.5], [0.0], [4.0], step=step)
+        assert _oracle_fields(got) == _oracle_fields(
+            weak_efficiency_oracle_reference(pr, [3.5], [0.0], [4.0], step=step))
+        assert not got.weakly_efficient
+        assert got.counterexample == (2.75 + step,)
+        assert got.points_checked == 131073
+        # feasible points through the end of block 1 (x0 < 4), not to x0 = 4
+        assert got.feasible_points == (4.0 - 2.75) / step - 1
+
+    @pytest.mark.parametrize("problem, point, lo, hi, step", [
+        ("mangasarian", [0.0], [-1.0], [1.0], 1e-3),
+        ("abs-biobjective", [0.5], [-1.0], [2.0], 1e-3),
+        ("abs-biobjective", [3.0], [-1.0], [4.0], 1e-3),
+        ("linear-tradeoff", [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], 1e-3),
+        ("linear-tradeoff", [1.1, -0.1], [0.6, -0.6], [1.6, 0.4], 1e-3),
+        ("linear-tradeoff", [0.5, 0.5], [-0.3, 0.1], [0.7, 0.9], 7e-4),
+        ("nonconvex-max", [0.0], [-1.0], [1.0], 1e-4),
+        ("nonconvex-max", [0.4], [-0.1], [0.9], 3e-3),
+    ])
+    def test_catalog_grids(self, problem, point, lo, hi, step):
+        pr = builtin(problem)
+        assert _oracle_fields(weak_efficiency_oracle(pr, point, lo, hi, step=step)) == \
+            _oracle_fields(weak_efficiency_oracle_reference(pr, point, lo, hi, step=step))
+
+
+class TestGridBlock:
+    @pytest.mark.parametrize("counts", [(9,), (70001,), (13, 1), (1, 29), (7, 1, 11),
+                                        (301, 300), (40, 1, 50), (51, 52, 53)])
+    @pytest.mark.parametrize("block", [7, 1000, 1 << 16])
+    def test_bitwise_equal_to_divmod_decoding(self, counts, block):
+        rng = np.random.default_rng(len(counts) * block + sum(counts))
+        axes = [np.sort(rng.normal(size=c)) for c in counts]
+        total = math.prod(counts)
+        starts = list(range(0, total, block))
+        if len(starts) > 60:  # every block would be slow at block size 7
+            starts = starts[:30] + starts[-30:]
+        for start in starts:
+            size = min(block, total - start)
+            assert _grid_block(axes, list(counts), start, size).tobytes() == \
+                divmod_grid_block(axes, list(counts), start, size).tobytes()
+
+    def test_blocks_starting_mid_row(self):
+        axes = [np.arange(5.0), np.arange(10.0, 17.0), np.arange(20.0, 23.0)]
+        counts = [5, 7, 3]
+        for start in range(105):
+            for size in (1, 2, 4, 20, 105 - start):
+                size = min(size, 105 - start)
+                assert _grid_block(axes, counts, start, size).tobytes() == \
+                    divmod_grid_block(axes, counts, start, size).tobytes()
 
 
 class TestReportShell:

@@ -202,6 +202,29 @@ class TestUsageErrors:
         assert "--tol must be finite and >= 0" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_unwritable_report_path(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "r.json"
+        assert run(["check-kkt", P1, "--point", "0", "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_unwritable_csv_path_prints_no_report(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "s.csv"
+        assert run(["penalty", P3, "--point", "0.5,0.5", "--schedule", "1,10",
+                    "--csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+
+    def test_unwritable_report_path_after_the_csv(self, capsys, tmp_path):
+        rpath, cpath = tmp_path / "missing-dir" / "r.json", tmp_path / "s.csv"
+        assert run(["penalty", P3, "--point", "0.5,0.5", "--schedule", "1,10",
+                    "--csv", str(cpath), "--report", str(rpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {rpath}: ")
+
     def test_missing_required_point(self):
         with pytest.raises(SystemExit) as ei:
             run(["penalty", P1])

@@ -186,3 +186,23 @@ class TestBatch:
         vals, ok = eval_batch(e, np.array([[800.0], [0.5]]))
         assert ok.tolist() == [False, True]
         assert vals[1] == pytest.approx(eval_value(e, [0.5]), rel=1e-12)
+
+    @pytest.mark.parametrize("text, guard", [
+        ("log(x0) + x2", lambda X: X[:, 0] > 0.0),  # x1 is not read
+        ("sqrt(x2)", lambda X: X[:, 2] > 0.0),      # x0 and x1 are not read
+        ("1.5", lambda X: np.ones(len(X), dtype=bool)),
+    ])
+    def test_nonfinite_input_in_any_column_flags_the_row(self, text, guard):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1.0, 1.0, size=(40, 3))
+        for row, (col, bad) in enumerate(
+            (col, bad) for col in (0, 1, 2) for bad in (np.nan, np.inf, -np.inf)
+        ):
+            X[3 * row, col] = bad
+        X[30, :] = np.nan
+        X[31, [0, 2]] = [np.inf, -np.inf]
+        _, ok = eval_batch(parse_expr(text, 3), X)
+        with np.errstate(invalid="ignore"):
+            expected = np.isfinite(X).all(axis=1) & guard(X)
+        assert ok.tolist() == expected.tolist()
+        assert not ok[[3 * r for r in range(9)] + [30, 31]].any()
