@@ -4,7 +4,6 @@ constraints."""
 
 from .backend import BACKEND
 from .certify import (
-    CertReport,
     KktRecovery,
     KktResult,
     OracleResult,
@@ -48,14 +47,13 @@ from .problem import (
     resolve_problem,
     save_problem,
 )
-from .subdiff import SubdiffPolytope, phi_value, subdifferential
+from .subdiff import SubdiffPolytope, subdifferential
 from .tape import eval_batch, eval_grad, eval_value
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "CertReport",
     "ConvergenceError",
     "DomainError",
     "Expr",
@@ -93,7 +91,6 @@ __all__ = [
     "load_problem",
     "min_norm_point",
     "parse_expr",
-    "phi_value",
     "residual_m",
     "residual_m_detail",
     "resolve_problem",

@@ -24,9 +24,9 @@ from scipy.optimize import nnls
 
 from .minnorm import MultiplierTriple, min_norm_point, residual_m_detail
 from .penalty import complementarity, e2_values
-from .problem import Problem, constraint_values, feasibility_violation
-from .subdiff import DEFAULT_EPS_ACT, MODEL_NOTE, subdifferential
-from .tape import _check_point, eval_batch, eval_tapes
+from .problem import Problem, check_feasible, constraint_values
+from .subdiff import DEFAULT_EPS_ACT, subdifferential
+from .tape import eval_batch, eval_tapes
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 NORMALIZATION_NOTE = (
@@ -52,26 +52,6 @@ class Verdict:
     tolerance: float
 
 
-@dataclass(frozen=True, eq=False)
-class CertReport:
-    """Aggregated verdicts for one certification run."""
-
-    problem: str
-    point: tuple
-    verdicts: tuple
-    notes: tuple = (MODEL_NOTE, NORMALIZATION_NOTE)
-    extras: dict | None = None
-
-    def outcome(self, condition: str) -> str:
-        for v in self.verdicts:
-            if v.condition == condition:
-                return v.outcome
-        raise KeyError(condition)
-
-    def all_hold(self) -> bool:
-        return all(v.outcome == "holds" for v in self.verdicts)
-
-
 def _tail(values: list, width: int = TAIL_WINDOW) -> list:
     return values[-width:] if len(values) > width else list(values)
 
@@ -89,7 +69,9 @@ def _tail_to_zero(values: list, tol: float) -> tuple[bool, dict]:
     }
 
 
-def _clean_records(records):
+def _clean_records(records, pr: Problem):
+    """(the unflagged records, the number flagged); every unflagged
+    record's x must pass `Problem.check_point`."""
     if not records:
         raise ValueError("record list must be non-empty")
     ordered = list(records)
@@ -99,6 +81,8 @@ def _clean_records(records):
     clean = [r for r in ordered if not r.flagged and r.mult is not None]
     if not clean:
         raise ValueError("all records are flagged; nothing to certify")
+    for r in clean:
+        pr.check_point(r.x, "record x")
     return clean, len(ordered) - len(clean)
 
 
@@ -110,10 +94,11 @@ def check_akkt_conditions(records, pr: Problem, xbar, tol: float,
     Every quantity is recomputed from the problem and the recorded
     (k, x, multipliers); flagged records are excluded (their count is
     reported).  residual_mode 'prime' checks A1 against the fixed
-    equality-gradient residual (the AKKT' variant).
+    equality-gradient residual (the AKKT' variant).  xbar and every
+    unflagged record's x must pass `Problem.check_point`.
     """
-    clean, flagged = _clean_records(records)
-    xb = _check_point(xbar)
+    clean, flagged = _clean_records(records, pr)
+    xb = pr.check_point(xbar, "xbar")
     base = {"flagged_records": flagged, "records": len(clean)}
     verdicts = []
 
@@ -260,14 +245,11 @@ def check_kkt(pr: Problem, xbar, eps_act: float = DEFAULT_EPS_ACT,
     nonnegative least-squares system: piece-gradient columns for every
     objective (simplex enforced by a penalty row), active inequality
     generators and +-grad h_j as nonnegative columns.  holds iff the
-    recomputed residual after normalization is <= tol.
+    recomputed residual after normalization is <= tol.  xbar must pass
+    `Problem.check_point` and `check_feasible` with limit tol.
     """
-    xb = _check_point(xbar)
-    feas = feasibility_violation(pr, xb)
-    if feas.aggregate > tol:
-        raise ValueError(
-            f"point violates the constraints by {feas.aggregate:.3e} (limit {tol:.0e})"
-        )
+    xb = pr.check_point(xbar, "xbar")
+    check_feasible(pr, xb, tol)
     n = pr.n
 
     obj_cols = []
@@ -332,10 +314,11 @@ def kkt_from_akkt(records, pr: Problem, xbar, eps_act: float = DEFAULT_EPS_ACT,
     (pairwise distance <= 1e-3, else inconclusive — never a guess); the
     limit is the tail average and the KKT residual is evaluated at xbar
     with the subdifferential polytopes there (closedness of the
-    subdifferential map).
+    subdifferential map).  xbar and every unflagged record's x must pass
+    `Problem.check_point`.
     """
-    clean, flagged = _clean_records(records)
-    xb = _check_point(xbar)
+    clean, flagged = _clean_records(records, pr)
+    xb = pr.check_point(xbar, "xbar")
     tail = _tail(clean)
 
     vecs = []
@@ -412,14 +395,11 @@ def check_qncq_sufficient(pr: Problem, xbar, eps_act: float = DEFAULT_EPS_ACT,
     subgradients vanishes, so no abnormal multiplier exists and QNCQ
     holds.  Otherwise the outcome is inconclusive: the neighborhood
     sign property is sampled (1000 seeded points in shrinking balls) as
-    supporting evidence, but the check never reports failure.
+    supporting evidence, but the check never reports failure.  xbar
+    must pass `Problem.check_point` and `check_feasible`.
     """
-    xb = _check_point(xbar)
-    feas = feasibility_violation(pr, xb)
-    if feas.aggregate > 1e-8:
-        raise ValueError(
-            f"point violates the constraints by {feas.aggregate:.3e} (limit 1e-08)"
-        )
+    xb = pr.check_point(xbar, "xbar")
+    check_feasible(pr, xb)
 
     gens, _, fold = _active_constraint_generators(pr, xb, eps_act)
     if not gens:
@@ -489,9 +469,10 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
     with the offending pair.  Certification then demands A0-A3 on the
     records with the fixed-gradient residual (the AKKT' variant) at
     activity tolerance eps_act, plus SCZ.  Evidence includes the limit
-    scalarization sum_l lam_l f_l(xbar).
+    scalarization sum_l lam_l f_l(xbar).  xbar and every unflagged
+    record's x must pass `Problem.check_point`.
     """
-    xb = _check_point(xbar)
+    xb = pr.check_point(xbar, "xbar")
     for fn in list(pr.objectives) + list(pr.inequalities):
         if not fn.convex:
             raise ValueError(
@@ -530,7 +511,7 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
     verdicts = tuple(v for v in fragment if v.condition in wanted)
     certified = all(v.outcome == "holds" for v in verdicts)
 
-    clean, _ = _clean_records(records)
+    clean, _ = _clean_records(records, pr)
     lam_limit = np.mean(np.vstack([r.mult.lam for r in _tail(clean)]), axis=0)
     scalarization = float(sum(
         lam_limit[l] * fobj.value(xb) for l, fobj in enumerate(pr.objectives)
@@ -545,7 +526,7 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
                              evidence=evidence)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OracleResult:
     weakly_efficient: bool
     counterexample: tuple | None
@@ -600,10 +581,11 @@ def weak_efficiency_oracle(pr: Problem, xbar, lo, hi, step: float = 1e-3) -> Ora
     lexicographic, in blocks of 65,536 points, and reports the first
     counterexample found; `feasible_points` then counts the feasible
     points up to the end of the block that holds it, not of the grid.
+    xbar must pass `Problem.check_point`.
     """
     if pr.n > 3:
         raise ValueError("the grid oracle supports at most 3 variables")
-    xb = _check_point(xbar)
+    xb = pr.check_point(xbar, "xbar")
     lo_a = np.broadcast_to(np.asarray(lo, dtype=np.float64), (pr.n,)).copy()
     hi_a = np.broadcast_to(np.asarray(hi, dtype=np.float64), (pr.n,)).copy()
     if not (np.all(np.isfinite(lo_a)) and np.all(np.isfinite(hi_a))):

@@ -6,7 +6,7 @@ point algorithm runs with the linear minimization oracle decomposed per
 factor (the LMO of a sum is the sum of the factor LMOs); ties pick the
 lowest generator index, so runs are deterministic.  The result carries
 convex weights per factor and is certified by the Wolfe criterion
-<p, p - v> <= tol * max(1, ||p||^2) against every generator.
+<p, p - v> <= WOLFE_TOL * max(1, ||p||^2) against every generator.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .problem import Problem
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
-from .tape import _check_point, eval_tapes
+from .tape import eval_tapes
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 WOLFE_TOL = 1e-10
@@ -75,7 +75,7 @@ def _affine_min_norm(P: np.ndarray) -> np.ndarray:
     return sol[:q]
 
 
-def min_norm_point(factors, tol: float = WOLFE_TOL) -> MinNormResult:
+def min_norm_point(factors) -> MinNormResult:
     """Min-norm point of sum_f scale_f * conv(G_f) by Wolfe's algorithm.
 
     factors: sequence of (scale, generators) with generators of shape
@@ -115,7 +115,7 @@ def min_norm_point(factors, tol: float = WOLFE_TOL) -> MinNormResult:
         sel, v = lmo(x)
         xx = float(x @ x)
         gap = xx - float(x @ v)
-        if gap <= tol * max(1.0, xx):
+        if gap <= WOLFE_TOL * max(1.0, xx):
             certified = True
             break
         if sel in corral_sel:
@@ -151,7 +151,7 @@ def min_norm_point(factors, tol: float = WOLFE_TOL) -> MinNormResult:
         xx = float(x @ x)
         _, v = lmo(x)
         gap = xx - float(x @ v)
-        if gap > tol * max(1.0, xx):
+        if gap > WOLFE_TOL * max(1.0, xx):
             raise ConvergenceError(
                 f"min-norm point not certified after {iterations} iterations "
                 f"(gap {gap:.3e})"
@@ -230,11 +230,12 @@ def residual_m_detail(pr: Problem, x, mult: MultiplierTriple,
     whose equality contribution is exactly sum_j tau_j * grad h_j(x).
     Both modes assemble branches identically, so the general minimum is
     never above the prime value, and the two coincide bitwise when r = 0.
+    x must pass `Problem.check_point`.
     """
     if mode not in ("general", "prime"):
         raise ValueError("mode must be 'general' or 'prime'")
     _check_mult(pr, mult)
-    xa = _check_point(x)
+    xa = pr.check_point(x)
 
     factors = []
     for l, fobj in enumerate(pr.objectives):

@@ -36,12 +36,12 @@ import numpy as np
 from .backend import kernels
 from .expr import unparse
 from .minnorm import MinNormResult, MultiplierTriple, min_norm_point, residual_m_detail
-from .problem import FeasibilityReport, Problem, constraint_values, feasibility_violation
+from .problem import (FeasibilityReport, Problem, check_feasible, constraint_values,
+                      feasibility_violation)
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
 from .tape import STATUS_MESSAGES, DomainError, eval_tapes
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
-FEASIBILITY_TOL = 1e-8
 INNER_CAP = 5000        # total inner iterations per k
 ROUND_LEN = 250         # iterations per restart round
 STEP_FRAC = 0.1         # c_0 = delta * STEP_FRAC
@@ -99,15 +99,12 @@ class ProblemKernel:
     straight-line code for dimension n (`Tape.compiled`), built once
     per distinct layout of equal tapes and shared by every kernel over
     it; fbar and xbar are its only per-kernel data.  `fbar` and `xbar`
-    stay numpy for callers; the kernels get list copies.
+    stay numpy for callers; the kernels get list copies.  xbar and
+    every point a method is given must pass `Problem.check_point`.
     """
 
     def __init__(self, pr: Problem, xbar):
-        xb = np.ascontiguousarray(np.asarray(xbar, dtype=np.float64))
-        if xb.shape != (pr.n,):
-            raise ValueError(f"xbar must have shape ({pr.n},)")
-        if not np.all(np.isfinite(xb)):
-            raise ValueError("xbar must be finite")
+        xb = pr.check_point(xbar, "xbar")
         tapes = []
         obj_ps = [0]
         for fobj in pr.objectives:
@@ -132,22 +129,13 @@ class ProblemKernel:
         # ops is not run: the benchmark tracer counts its length as tape instructions
         self._program = (ops, program, self.fbar.tolist(), xb.tolist())
 
-    def _check_point(self, x):
-        """Reject what `eval_grad` rejects, once per call: a point that
-        is not n reals, or a non-finite one."""
-        if getattr(x, "ndim", 1) != 1 or len(x) != self.pr.n:
-            raise ValueError(f"x must have shape ({self.pr.n},)")
-        for v in x:
-            if not math.isfinite(v):
-                raise ValueError("point contains non-finite values")
-
     def _raise_domain(self, status: int, bad: int):
         t = bisect_right(self._starts, bad) - 1
         node = self._tapes[t].nodes[bad - self._starts[t]]
         raise DomainError(STATUS_MESSAGES[status], unparse(node))
 
     def _phi_k(self, k: float, x):
-        self._check_point(x)
+        x = self.pr.check_point(x)
         status, bad, phi, phik, d = kernels.eval_phi_k(*self._program, float(k), x)
         if status:
             self._raise_domain(status, bad)
@@ -168,7 +156,7 @@ class ProblemKernel:
                       tail_from: int, x_io, x_best_out, x_avg_out):
         """One ladder round from x_io; see the kernel of the same name.
         Returns (f_best, n_done); raises as `eval_phik`."""
-        self._check_point(x_io)
+        self.pr.check_point(x_io)
         status, bad, f_best, _, n_done = kernels.subgrad_round(
             *self._program, float(k), float(delta), float(c),
             int(L), int(tail_from), x_io, x_best_out, x_avg_out,
@@ -200,7 +188,7 @@ def stationarity_model(kern: ProblemKernel, x, k: float,
     lambda are read off the phi factor and sum to 1.
     """
     pr = kern.pr
-    xa = np.asarray(x, dtype=np.float64)
+    xa = pr.check_point(x)
     k = float(k)
 
     sds = [subdifferential(fobj, xa, eps_act) for fobj in pr.objectives]
@@ -317,11 +305,7 @@ def solve_subproblem(kern: ProblemKernel, k: float, cfg: PenaltyConfig | None = 
 
     candidates = [kern.xbar.copy()]
     if x_init is not None:
-        xi = np.ascontiguousarray(np.asarray(x_init, dtype=np.float64))
-        if xi.shape != (n,):
-            raise ValueError(f"x_init must have shape ({n},)")
-        if not np.all(np.isfinite(xi)):
-            raise ValueError("x_init must be finite")
+        xi = kern.pr.check_point(x_init, "x_init")
         shift = xi - kern.xbar
         d = float(np.linalg.norm(shift))
         if d > cfg.delta:
@@ -401,7 +385,7 @@ def extract_multipliers(kern: ProblemKernel, x, k: float,
     Returns (MultiplierTriple, sigma, StationarityModel).
     """
     pr = kern.pr
-    xa = np.asarray(x, dtype=np.float64)
+    xa = pr.check_point(x)
     k = float(k)
     model = stationarity_model(kern, xa, k, eps_act)
     gvals, hvals = constraint_values(pr, xa)
@@ -469,7 +453,7 @@ def e2_values(pr: Problem, x, fbar, comp: float) -> tuple:
 def generate_akkt_sequence(pr: Problem, xbar, cfg: PenaltyConfig | None = None) -> PenaltySequence:
     """Run the penalty path at xbar over cfg.schedule.
 
-    xbar must be feasible to within 1e-8 aggregate violation.  The
+    xbar must pass `Problem.check_point` and `check_feasible`.  The
     schedule truncates once the sign-branched residual drops below
     RESIDUAL_STOP.  A DomainError during an inner solve produces a
     flagged record (kept in the output) and the path continues from the
@@ -478,12 +462,7 @@ def generate_akkt_sequence(pr: Problem, xbar, cfg: PenaltyConfig | None = None) 
     if cfg is None:
         cfg = PenaltyConfig()
     kern = ProblemKernel(pr, xbar)
-    feas0 = feasibility_violation(pr, kern.xbar)
-    if feas0.aggregate > FEASIBILITY_TOL:
-        raise ValueError(
-            f"base point violates the constraints by {feas0.aggregate:.3e} "
-            f"(limit {FEASIBILITY_TOL:.0e})"
-        )
+    check_feasible(pr, kern.xbar)
 
     records = []
     x_warm = None

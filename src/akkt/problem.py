@@ -15,13 +15,17 @@ constraints are restricted to a single smooth piece.  The JSON schema:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expr import Expr, ParseError, parse_expr, unparse
-from .tape import Tape, _check_point, compile_tape, eval_tapes
+from .tape import Tape, compile_tape, eval_tapes
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
+
+
+FEASIBILITY_TOL = 1e-8  # aggregate violation a base point may have
 
 
 class ProblemFormatError(ValueError):
@@ -82,6 +86,19 @@ class Problem:
         object.__setattr__(self, "eq_tapes",
                            tuple(compile_tape(h) for h in self.equalities))
 
+    def check_point(self, x, name: str = "x") -> np.ndarray:
+        """x as a float64 array of shape (n,), the one form of a point of
+        this problem; ValueError if it has another shape or a non-finite
+        entry.  Plain Python past the conversion: the penalty kernels run
+        it on every call."""
+        xa = np.asarray(x, dtype=np.float64)
+        if xa.shape != (self.n,):
+            raise ValueError(f"{name} must have shape ({self.n},)")
+        for v in xa.tolist():
+            if not math.isfinite(v):
+                raise ValueError("point contains non-finite values")
+        return xa
+
     @property
     def p(self) -> int:
         return len(self.objectives)
@@ -103,8 +120,9 @@ class FeasibilityReport:
 
 
 def constraint_values(pr: Problem, x) -> tuple[list[float], list[float]]:
-    """(g_i(x) per inequality, h_j(x) per equality), in problem order."""
-    xa = _check_point(x)
+    """(g_i(x) per inequality, h_j(x) per equality), in problem order;
+    x must pass `Problem.check_point`."""
+    xa = pr.check_point(x)
     return [g.value(xa) for g in pr.inequalities], eval_tapes(pr.eq_tapes, xa)[0]
 
 
@@ -117,6 +135,16 @@ def feasibility_violation(pr: Problem, x) -> FeasibilityReport:
     for v in hvals:
         eq = max(eq, abs(v))
     return FeasibilityReport(ineq=ineq, eq=eq, aggregate=max(ineq, eq))
+
+
+def check_feasible(pr: Problem, x, limit: float = FEASIBILITY_TOL) -> None:
+    """ValueError unless x violates the constraints by at most `limit`
+    (aggregate of `feasibility_violation`)."""
+    violation = feasibility_violation(pr, x).aggregate
+    if violation > limit:
+        raise ValueError(
+            f"point violates the constraints by {violation:.3e} (limit {limit:.0e})"
+        )
 
 
 def _parse_fn(entry, n: int, label: str) -> PiecewiseMaxFn:

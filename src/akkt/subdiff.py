@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import PiecewiseMaxFn, Problem
+from .problem import PiecewiseMaxFn
 from .tape import _check_point
 
 DEFAULT_EPS_ACT = 1e-6
@@ -37,15 +37,6 @@ class SubdiffPolytope:
     value: float                 # max piece value at x
 
 
-@dataclass(frozen=True)
-class ActivitySimplex:
-    """Objective indices whose gap f_l(x) - f_l(xbar) is within eps_act
-    of phi(x); lambda weights outside this set must vanish."""
-
-    active: tuple[int, ...]
-    eps_act: float
-
-
 def subdifferential(fn: PiecewiseMaxFn, x, eps_act: float = DEFAULT_EPS_ACT) -> SubdiffPolytope:
     """Polytope model of the subdifferential of `fn` at x."""
     if not eps_act >= 0:
@@ -56,13 +47,3 @@ def subdifferential(fn: PiecewiseMaxFn, x, eps_act: float = DEFAULT_EPS_ACT) -> 
     gens = np.vstack([grads[i] for i in active])
     return SubdiffPolytope(x=xa, active=active, generators=gens, eps_act=eps_act, value=vmax)
 
-
-def phi_value(pr: Problem, x, xbar, eps_act: float = DEFAULT_EPS_ACT) -> tuple[float, ActivitySimplex]:
-    """Largest objective gap phi(x) = max_l (f_l(x) - f_l(xbar)) and the
-    eps_act-active objective set.  phi(xbar) is exactly 0."""
-    xa = _check_point(x)
-    xb = _check_point(xbar)
-    gaps = [f.value(xa) - f.value(xb) for f in pr.objectives]
-    phi = max(gaps)
-    active = tuple(l for l, gap in enumerate(gaps) if gap >= phi - eps_act)
-    return phi, ActivitySimplex(active=active, eps_act=eps_act)

@@ -1,13 +1,12 @@
 """Certification layer: AKKT verdicts, KKT decisions, recovery, QNCQ,
 convex certificates, and the grid oracle."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from akkt.certify import (
-    CertReport,
-    Verdict,
     _grid_block,
     certify_weak_efficiency_convex,
     check_akkt_conditions,
@@ -352,6 +351,14 @@ class TestOracle:
         assert res.weakly_efficient
         assert res.feasible_points > 0
 
+    def test_equal_runs_compare_equal(self, p2):
+        weak = weak_efficiency_oracle(p2, [0.5], [-1.0], [2.0])
+        refuted = weak_efficiency_oracle(p2, [3.0], [-1.0], [4.0])
+        assert weak == weak_efficiency_oracle(p2, [0.5], [-1.0], [2.0])
+        assert refuted == weak_efficiency_oracle(p2, [3.0], [-1.0], [4.0])
+        assert weak != refuted
+        assert weak != dataclasses.replace(weak, feasible_points=weak.feasible_points + 1)
+
     def test_dimension_cap(self):
         pr = load_problem_dict({
             "name": "wide", "n": 4,
@@ -530,16 +537,3 @@ class TestGridBlock:
                 assert _grid_block(axes, counts, start, size).tobytes() == \
                     divmod_grid_block(axes, counts, start, size).tobytes()
 
-
-class TestReportShell:
-    def test_lookup_and_aggregate(self):
-        verdicts = (
-            Verdict("A0", "holds", {}, 1e-2),
-            Verdict("A1", "fails", {}, 1e-2),
-        )
-        report = CertReport(problem="demo", point=(0.0,), verdicts=verdicts)
-        assert report.outcome("A1") == "fails"
-        assert not report.all_hold()
-        with pytest.raises(KeyError):
-            report.outcome("E9")
-        assert len(report.notes) == 2

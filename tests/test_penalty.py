@@ -117,7 +117,7 @@ class TestInnerSolve:
         kern = ProblemKernel(p1, [0.0])
         with pytest.raises(ValueError):
             solve_subproblem(kern, 1.0, x_init=[0.0, 0.0])
-        with pytest.raises(ValueError, match="x_init must be finite"):
+        with pytest.raises(ValueError, match="^point contains non-finite values$"):
             solve_subproblem(kern, 1.0, x_init=[math.nan])
 
 

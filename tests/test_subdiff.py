@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from akkt.problem import PiecewiseMaxFn, builtin, load_problem_dict
 from akkt.expr import parse_expr
-from akkt.subdiff import phi_value, subdifferential
+from akkt.penalty import ProblemKernel, stationarity_model
+from akkt.subdiff import subdifferential
 
 from _synthetic import _poly
 
@@ -70,6 +71,18 @@ class TestSubdifferential:
 
 
 class TestPhi:
+    """phi(x) = max_l (f_l(x) - f_l(xbar)) as the kernel computes it, and
+    its eps_act-active objectives as the phi factor of stationarity_model
+    collects them."""
+
+    @staticmethod
+    def _phi(pr, x, xbar):
+        return ProblemKernel(pr, xbar).eval_phik(1.0, x)[0]
+
+    @staticmethod
+    def _model(pr, x, xbar, eps_act=1e-6):
+        return stationarity_model(ProblemKernel(pr, xbar), x, 1.0, eps_act)
+
     def test_phi_at_base_point_is_exactly_zero(self):
         rng = np.random.default_rng(12)
         for pr in [builtin(n) for n in
@@ -77,23 +90,23 @@ class TestPhi:
                     "nonconvex-max")]:
             for _ in range(5):
                 xb = rng.uniform(-1.0, 1.0, size=pr.n)
-                value, active = phi_value(pr, xb, xb)
-                assert value == 0.0
-                assert len(active.active) >= 1
+                assert self._phi(pr, xb, xb) == 0.0
+                assert self._model(pr, xb, xb).minnorm.weights[0].size >= 1
 
     def test_abs_biobjective_value(self, p2):
-        value, _ = phi_value(p2, [0.0], [0.5])
-        assert value == 0.5
+        assert self._phi(p2, [0.0], [0.5]) == 0.5
 
     def test_mangasarian_value(self, p1):
-        value, _ = phi_value(p1, [-0.25], [0.0])
-        assert value == -0.25
+        assert self._phi(p1, [-0.25], [0.0]) == -0.25
 
     def test_active_set_respects_eps(self, p2):
-        _, tight = phi_value(p2, [0.0], [0.5], eps_act=1e-9)
-        _, loose = phi_value(p2, [0.0], [0.5], eps_act=2.0)
-        assert set(tight.active) <= set(loose.active)
-        assert loose.active == (0, 1)
+        # gaps -0.5 and 0.5: objective 1 alone (one piece) is active at
+        # 1e-9; at 2.0 both objectives are, with both pieces each
+        tight = self._model(p2, [0.0], [0.5], eps_act=1e-9)
+        loose = self._model(p2, [0.0], [0.5], eps_act=2.0)
+        assert tight.lam.tolist() == [0.0, 1.0]
+        assert tight.minnorm.weights[0].size == 1
+        assert loose.minnorm.weights[0].size == 4
 
     def test_max_structure(self):
         pr = load_problem_dict({
@@ -104,7 +117,6 @@ class TestPhi:
             ],
             "inequalities": [], "equalities": [],
         })
-        value, active = phi_value(pr, [2.0], [0.0])
         # f1 gap = 4 - 0, f2 gap = -1 - 1 = -2 -> max 4, objective 0 active
-        assert value == 4.0
-        assert active.active == (0,)
+        assert self._phi(pr, [2.0], [0.0]) == 4.0
+        assert self._model(pr, [2.0], [0.0]).lam.tolist() == [1.0, 0.0]

@@ -98,13 +98,15 @@ class TestPrecompiledEqualities:
                                 "equalities": texts})
         hs = [parse_expr(t, 2) for t in texts]
         for x, exc, h in (([0.0, 5.0], DomainError, hs[1]),
-                          ([3.0], ValueError, hs[0]),
                           ([float("nan"), 0.0], ValueError, hs[0])):
             with pytest.raises(exc) as ref:
                 eval_grad(h, x)
             with pytest.raises(exc) as got:
                 constraint_values(pr, x)
             assert str(got.value) == str(ref.value)
+        # a point of the wrong dimension is refused before any tape runs
+        with pytest.raises(ValueError, match=r"^x must have shape \(2,\)$"):
+            constraint_values(pr, [3.0])
         kern = ProblemKernel(pr, [2.0, -2.0])
         with pytest.raises(DomainError) as got:
             kern.eval_phik(1.0, [0.0, 5.0])
