@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .minnorm import MultiplierTriple, min_norm_point, residual_m_detail
 from .penalty import complementarity, e2_values
@@ -246,8 +245,13 @@ def check_kkt(pr: Problem, xbar, eps_act: float = DEFAULT_EPS_ACT,
     objective (simplex enforced by a penalty row), active inequality
     generators and +-grad h_j as nonnegative columns.  holds iff the
     recomputed residual after normalization is <= tol.  xbar must pass
-    `Problem.check_point` and `check_feasible` with limit tol.
+    `Problem.check_point` and `check_feasible` with limit tol.  The
+    first call in a process imports `scipy.optimize` for its NNLS.
     """
+    # imported here, not at module top, so that `import akkt` and every
+    # other command start without scipy.optimize
+    from scipy.optimize import nnls
+
     xb = pr.check_point(xbar, "xbar")
     check_feasible(pr, xb, tol)
     n = pr.n

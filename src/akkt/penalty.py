@@ -99,12 +99,14 @@ class ProblemKernel:
     straight-line code for dimension n (`Tape.compiled`), built once
     per distinct layout of equal tapes and shared by every kernel over
     it; fbar and xbar are its only per-kernel data.  `fbar` and `xbar`
-    stay numpy for callers; the kernels get list copies.  xbar and
+    stay numpy for callers; the kernels get list copies.  `xbar` is the
+    kernel's own copy of the point, so that it cannot drift from the
+    frozen fbar when the caller's array changes.  xbar and
     every point a method is given must pass `Problem.check_point`.
     """
 
     def __init__(self, pr: Problem, xbar):
-        xb = pr.check_point(xbar, "xbar")
+        xb = pr.check_point(xbar, "xbar").copy()
         tapes = []
         obj_ps = [0]
         for fobj in pr.objectives:

@@ -155,6 +155,20 @@ class TestKernelPointChecks:
         kern = ProblemKernel(p3, [0.5, 0.5])
         assert kern.eval_phik(1.0, [0.2, 0.9]) == kern.eval_phik(1.0, np.array([0.2, 0.9]))
 
+    def test_xbar_is_a_copy(self):
+        xb = np.array([0.5, 0.5])
+        kern = ProblemKernel(builtin("linear-tradeoff"), xb)
+        xb[0] = 3.0
+        assert kern.xbar.tolist() == [0.5, 0.5]
+
+    def test_sequence_xbar_is_a_copy(self):
+        pr = builtin("linear-tradeoff")
+        xb = np.array([0.5, 0.5])
+        seq = generate_akkt_sequence(pr, xb)
+        assert seq.xbar is not xb
+        xb[0] = 3.0
+        assert seq.xbar.tolist() == [0.5, 0.5]
+
 
 class TestKernelSubgradient:
     CASES = [
