@@ -25,7 +25,7 @@ from .minnorm import MultiplierTriple, min_norm_point, residual_m_detail
 from .penalty import complementarity, e2_values
 from .problem import Problem, check_feasible, constraint_values
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
-from .tape import eval_batch, eval_tapes
+from .tape import DomainError, eval_batch, eval_compiled, eval_tapes
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 NORMALIZATION_NOTE = (
@@ -461,6 +461,57 @@ class ConvexCertificate:
     evidence: dict
 
 
+def _spot_check_hypotheses(pr: Problem, xb: np.ndarray, seed: int) -> int:
+    """Spot-check the convexity and affinity assertions of pr around xb
+    on points drawn from a seeded generator; ValueError with the
+    offending point or pair on a violation.
+
+    Each equality's gradient must stay within 1e-9 of its value at xb
+    at 10 points of the box xb + [-1, 1]^n.  Each objective and
+    inequality f must satisfy f(v) >= f(u) + g(u) @ (v - u) - 1e-8 on
+    200 pairs (u, v) from the same box, g(u) the gradient of the
+    strict-argmax piece at u; a pair where a piece trips a domain guard
+    at u or v is skipped, since convexity is only asserted on the
+    domain.  Returns the smallest number of pairs checked for any one
+    function.  The points of each function are drawn in one call and
+    evaluated through the tapes' generated code.
+    """
+    rng = np.random.default_rng(seed)
+    for j, tape in enumerate(pr.eq_tapes):
+        g0 = np.asarray(eval_compiled(tape, xb.tolist())[1])
+        for pt in xb + rng.uniform(-1.0, 1.0, size=(10, pr.n)):
+            g = np.asarray(eval_compiled(tape, pt.tolist())[1])
+            gap = float(np.max(np.abs(g - g0)))
+            if gap > 1e-9:
+                raise ValueError(
+                    f"equality constraint {j} is not affine: gradient varies "
+                    f"by {gap:.3e} at {pt.tolist()}"
+                )
+
+    checked = []
+    for fn in pr.objectives + pr.inequalities:
+        pairs = xb + rng.uniform(-1.0, 1.0, size=(200, 2, pr.n))
+        steps = pairs[:, 1] - pairs[:, 0]
+        count = 0
+        for (u, v), step in zip(pairs.tolist(), steps):
+            try:
+                # max keeps the first of equal values: the strict-argmax
+                # piece, ties to the lowest index, as `max_piece` selects
+                fu, grad_u = max((eval_compiled(tape, u) for tape in fn.tapes),
+                                 key=lambda res: res[0])
+                fv = max(eval_compiled(tape, v)[0] for tape in fn.tapes)
+            except DomainError:
+                continue
+            if fv < fu + float(np.asarray(grad_u) @ step) - 1e-8:
+                raise ValueError(
+                    f"convexity assertion for '{fn.label}' is false: the "
+                    f"subgradient inequality fails for u={u}, v={v}"
+                )
+            count += 1
+        checked.append(count)
+    return min(checked)
+
+
 def certify_weak_efficiency_convex(pr: Problem, xbar, records,
                                    tol: float = 1e-6, seed: int = 0,
                                    eps_act: float = DEFAULT_EPS_ACT) -> ConvexCertificate:
@@ -469,12 +520,15 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
     Requires every objective and inequality to carry the convex
     assertion and all equalities to be affine (gradients constant
     across 10 random points within 1e-9).  The convexity assertion is
-    spot-checked on 200 seeded pairs per function; a violation raises
-    with the offending pair.  Certification then demands A0-A3 on the
-    records with the fixed-gradient residual (the AKKT' variant) at
-    activity tolerance eps_act, plus SCZ.  Evidence includes the limit
-    scalarization sum_l lam_l f_l(xbar).  xbar and every unflagged
-    record's x must pass `Problem.check_point`.
+    spot-checked on 200 seeded pairs per function, skipping a pair that
+    leaves a function's domain; a violation raises with the offending
+    pair (`_spot_check_hypotheses`).  Certification then demands A0-A3
+    on the records with the fixed-gradient residual (the AKKT' variant)
+    at activity tolerance eps_act, plus SCZ.  Evidence includes the
+    limit scalarization sum_l lam_l f_l(xbar) and, as
+    `convexity_pairs_checked`, the smallest number of pairs checked for
+    any one function.  xbar and every unflagged record's x must pass
+    `Problem.check_point`.
     """
     xb = pr.check_point(xbar, "xbar")
     for fn in list(pr.objectives) + list(pr.inequalities):
@@ -483,31 +537,7 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
                 f"convexity hypothesis not satisfied: '{fn.label}' does not "
                 f"carry the convex assertion"
             )
-
-    rng = np.random.default_rng(seed)
-    for j, tape in enumerate(pr.eq_tapes):
-        g0 = eval_tapes((tape,), xb)[1][0]
-        for _ in range(10):
-            pt = xb + rng.uniform(-1.0, 1.0, size=pr.n)
-            g = eval_tapes((tape,), pt)[1][0]
-            if float(np.max(np.abs(g - g0))) > 1e-9:
-                raise ValueError(
-                    f"equality constraint {j} is not affine: gradient varies "
-                    f"by {float(np.max(np.abs(g - g0))):.3e} at {pt.tolist()}"
-                )
-
-    for fn in list(pr.objectives) + list(pr.inequalities):
-        for _ in range(200):
-            u = xb + rng.uniform(-1.0, 1.0, size=pr.n)
-            v = xb + rng.uniform(-1.0, 1.0, size=pr.n)
-            fu, grad_u = fn.max_piece(u)
-            fv = fn.value(v)
-            if fv < fu + float(grad_u @ (v - u)) - 1e-8:
-                raise ValueError(
-                    f"convexity assertion for '{fn.label}' is false: the "
-                    f"subgradient inequality fails for u={u.tolist()}, "
-                    f"v={v.tolist()}"
-                )
+    pairs_checked = _spot_check_hypotheses(pr, xb, seed)
 
     fragment = check_akkt_conditions(records, pr, xb, tol, eps_act=eps_act,
                                      residual_mode="prime")
@@ -523,7 +553,7 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
     evidence = {
         "limit_lambda": [float(v) for v in lam_limit],
         "scalarization_at_point": scalarization,
-        "convexity_pairs_checked": 200,
+        "convexity_pairs_checked": pairs_checked,
         "affine_points_checked": 10,
     }
     return ConvexCertificate(certified=certified, verdicts=verdicts,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -285,6 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# `main` parses with one parser per process: parsing leaves a parser
+# unchanged, so repeated in-process calls need not rebuild the tree.
+_parser = functools.cache(build_parser)
+
+
 def _encode(obj):
     """What json cannot encode itself: numpy arrays and scalars, and
     dataclasses (as the dict of their fields; json encodes the values,
@@ -306,10 +312,14 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     tol = getattr(args, "tol", 0.0)
     if not (tol >= 0 and math.isfinite(tol)):
         print(f"error: --tol must be finite and >= 0, got {tol!r}", file=sys.stderr)
+        return EXIT_USAGE
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        print(f"error: --seed must be >= 0, got {seed}", file=sys.stderr)
         return EXIT_USAGE
     try:
         code, report, seq = _run(args)

@@ -7,7 +7,9 @@ built once per expression.  `_kernels_py` (bound as `backend.kernels`)
 runs a tape two ways with one scalar semantics: its interpreter serves
 one-off evaluations (`eval_grad`, `eval_tapes`), and `Tape.compiled`
 turns a tape into straight-line Python once per dimension for the
-penalty kernels' inner loop.  `eval_batch` runs a values-only numpy
+penalty kernels' inner loop and for one-off evaluations of many points
+(`eval_compiled`, which the convex certifier's spot checks run).  The
+two give bitwise equal results.  `eval_batch` runs a values-only numpy
 version over rows.  Domain guards (division by zero, log/sqrt of
 non-positive arguments, 0^negative, any non-finite intermediate) abort
 evaluation and name the offending subexpression.
@@ -167,6 +169,21 @@ def eval_tapes(tapes, x) -> tuple[list[float], list[np.ndarray]]:
     xa = _check_point(x)
     out = [_run(tape, xa) for tape in tapes]
     return [v for v, _ in out], [g for _, g in out]
+
+
+def eval_compiled(tape: Tape, x: list) -> tuple[float, tuple[float, ...]]:
+    """Value and gradient of one tape at x, a list of finite floats,
+    through the tape's generated code (`Tape.compiled`): `_run`'s value
+    and gradient bitwise, the gradient as a tuple, and `_run`'s errors.
+    x is not checked for finiteness; the caller passes points it built."""
+    if tape.n_min > len(x):
+        raise ValueError(
+            f"expression uses x{tape.n_min - 1} but the point has dimension {len(x)}"
+        )
+    status, bad, value, grad = tape.compiled(len(x))(x)
+    if status:
+        raise DomainError(STATUS_MESSAGES[status], unparse(tape.nodes[bad]))
+    return value, grad
 
 
 def eval_value(e: Expr, x) -> float:

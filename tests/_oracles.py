@@ -8,10 +8,11 @@ central finite difference.  The one-selection subgradient reference
 evaluates phi_k piece by piece through the scalar tape path instead of
 the kernel's single pass over the problem's concatenated program.
 
-The phi_k, subgradient-round, Wolfe and grid-oracle references are not
-independent: they are the interpreted loops that the generated phi_k
-program, the prescaled Wolfe linear minimization oracle and the
-constraints-first grid scan replaced, kept to check those bitwise.  They
+The phi_k, subgradient-round, Wolfe, grid-oracle and spot-check
+references are not independent: they are the interpreted loops that the
+generated phi_k program, the prescaled Wolfe linear minimization oracle,
+the constraints-first grid scan and the convex certifier's block-drawn,
+generated-code spot checks replaced, kept to check those bitwise.  They
 run the package's tape functions, batch evaluator and Wolfe helpers.
 """
 import itertools
@@ -21,7 +22,8 @@ import numpy as np
 
 from akkt.certify import OracleResult
 from akkt.minnorm import ConvergenceError, MinNormResult, _affine_min_norm, _validate_factors
-from akkt.tape import _check_point, eval_batch, eval_grad, eval_value
+from akkt.expr import DomainError
+from akkt.tape import _check_point, eval_batch, eval_grad, eval_tapes, eval_value
 
 
 def min_norm_oracle(factors):
@@ -442,3 +444,42 @@ def divmod_grid_block(axes, counts, start, size) -> np.ndarray:
         rem, col = np.divmod(rem, counts[d])
         coords[:, d] = axes[d][col]
     return coords
+
+
+def spot_check_reference(pr, xb, seed: int) -> int:
+    """The convex certifier's hypothesis spot checks as a per-point loop:
+    one draw per point, every point through `eval_tapes` and the
+    functions' `max_piece` and `value`.  Pairs that trip a domain guard
+    are skipped; returns the smallest number of pairs checked for any
+    one function."""
+    rng = np.random.default_rng(seed)
+    for j, tape in enumerate(pr.eq_tapes):
+        g0 = eval_tapes((tape,), xb)[1][0]
+        for _ in range(10):
+            pt = xb + rng.uniform(-1.0, 1.0, size=pr.n)
+            g = eval_tapes((tape,), pt)[1][0]
+            if float(np.max(np.abs(g - g0))) > 1e-9:
+                raise ValueError(
+                    f"equality constraint {j} is not affine: gradient varies "
+                    f"by {float(np.max(np.abs(g - g0))):.3e} at {pt.tolist()}"
+                )
+    checked = []
+    for fn in list(pr.objectives) + list(pr.inequalities):
+        count = 0
+        for _ in range(200):
+            u = xb + rng.uniform(-1.0, 1.0, size=pr.n)
+            v = xb + rng.uniform(-1.0, 1.0, size=pr.n)
+            try:
+                fu, grad_u = fn.max_piece(u)
+                fv = fn.value(v)
+            except DomainError:
+                continue
+            if fv < fu + float(grad_u @ (v - u)) - 1e-8:
+                raise ValueError(
+                    f"convexity assertion for '{fn.label}' is false: the "
+                    f"subgradient inequality fails for u={u.tolist()}, "
+                    f"v={v.tolist()}"
+                )
+            count += 1
+        checked.append(count)
+    return min(checked)

@@ -8,6 +8,7 @@ import pytest
 
 from akkt.certify import (
     _grid_block,
+    _spot_check_hypotheses,
     certify_weak_efficiency_convex,
     check_akkt_conditions,
     check_kkt,
@@ -27,7 +28,7 @@ from akkt.penalty import (
 from akkt.problem import builtin, feasibility_violation, load_problem_dict
 from akkt.tape import eval_value
 
-from _oracles import divmod_grid_block, weak_efficiency_oracle_reference
+from _oracles import divmod_grid_block, spot_check_reference, weak_efficiency_oracle_reference
 from _synthetic import _poly
 
 CONDITIONS = ("A0", "A1", "A2", "A3", "E1", "E2", "SGN", "SCZ")
@@ -304,6 +305,45 @@ class TestConvexCertificate:
         seq = generate_akkt_sequence(pr, [0.0], PenaltyConfig(schedule=(1.0,)))
         with pytest.raises(ValueError, match="affine"):
             certify_weak_efficiency_convex(pr, [0.0], seq.records)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name, point", [
+        ("mangasarian", [0.0]), ("abs-biobjective", [0.5]), ("linear-tradeoff", [0.5, 0.5]),
+    ])
+    def test_spot_checks_match_the_per_point_reference(self, name, point, seed):
+        pr = builtin(name)
+        xb = np.array(point)
+        assert _spot_check_hypotheses(pr, xb, seed) == 200
+        assert spot_check_reference(pr, xb, seed) == 200
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_false_assertion_raises_the_reference_error(self, seed):
+        pr = load_problem_dict({
+            "name": "concave", "n": 1,
+            "objectives": [{"pieces": ["x0", "-x0^2"], "convex": True}],
+            "inequalities": [], "equalities": [],
+        })
+        errors = []
+        for check in (_spot_check_hypotheses, spot_check_reference):
+            with pytest.raises(ValueError, match="subgradient inequality fails") as ei:
+                check(pr, np.array([0.25]), seed)
+            errors.append(str(ei.value))
+        assert errors[0] == errors[1]
+
+    def test_pairs_outside_the_domain_are_skipped(self):
+        pr = load_problem_dict({
+            "name": "log-barrier", "n": 1,
+            "objectives": [{"pieces": ["-log(x0)"], "convex": True},
+                           {"pieces": ["x0"], "convex": True}],
+            "inequalities": [], "equalities": [],
+        })
+        seq = generate_akkt_sequence(pr, [0.5])
+        cert = certify_weak_efficiency_convex(pr, [0.5], seq.records)
+        assert cert.certified
+        assert {v.condition for v in cert.verdicts} == {"A0", "A1", "A2", "A3", "SCZ"}
+        checked = cert.evidence["convexity_pairs_checked"]
+        assert 0 < checked < 200
+        assert checked == spot_check_reference(pr, np.array([0.5]), 0)
 
     def test_seeded_and_deterministic(self, p2, seq_p2):
         a = certify_weak_efficiency_convex(p2, [0.5], seq_p2.records, seed=3)

@@ -139,6 +139,20 @@ class TestCertifyConvex:
         assert run(["certify-convex", P4, "--point", "0"]) == 2
         assert "convex" in capsys.readouterr().err
 
+    def test_restricted_domain_is_certified(self, tmp_path):
+        ppath, rpath = tmp_path / "log-barrier.json", tmp_path / "report.json"
+        ppath.write_text(json.dumps({
+            "name": "log-barrier", "n": 1,
+            "objectives": [{"pieces": ["-log(x0)"], "convex": True},
+                           {"pieces": ["x0"], "convex": True}],
+        }))
+        assert run(["certify-convex", str(ppath), "--point", "0.5",
+                    "--report", str(rpath)]) == 0
+        report = json.loads(rpath.read_text())
+        assert report["verdict"] == "holds"
+        assert {c["outcome"] for c in report["conditions"]} == {"holds"}
+        assert 0 < report["evidence"]["convexity_pairs_checked"] < 200
+
 
 class TestOracle:
     def test_negative_box_form(self, tmp_path):
@@ -200,6 +214,16 @@ class TestUsageErrors:
         assert run([command, P1, "--point", "0", f"--tol={tol}",
                     "--report", str(report)]) == 2
         assert "--tol must be finite and >= 0" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["penalty", "certify-akkt", "check-kkt",
+                                         "certify-convex", "oracle"])
+    def test_negative_seed(self, capsys, tmp_path, command):
+        report = tmp_path / "report.json"
+        box = ["--box=-1..1"] if command == "oracle" else []
+        assert run([command, P2, "--point", "0.5", *box, "--seed", "-1",
+                    "--report", str(report)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not report.exists()
 
     def test_unwritable_report_path(self, capsys, tmp_path):
@@ -276,6 +300,24 @@ class TestNumericalFailures:
         save_problem(pr, ppath)
         assert run(["oracle", str(ppath), "--point", "0", "--box=0..1"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_repeated_calls_share_no_flag_values(tmp_path, capsys):
+    first = tmp_path / "first.json"
+    assert run(["certify-akkt", P1, "--point", "0", "--schedule", "1,10",
+                "--tol", "0.5", "--report", str(first)]) in (0, 1)
+    with pytest.raises(SystemExit) as ei:
+        run(["oracle", P1, "--point", "0"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+    argv = ["certify-akkt", P1, "--point", "0"]
+    assert run(argv) == 0
+    in_process = capsys.readouterr().out
+    fresh = subprocess.run([sys.executable, "-m", "akkt", *argv],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0
+    assert in_process == fresh.stdout
+    assert json.loads(first.read_text())["parameters"]["tol"] == 0.5
 
 
 class TestDeterminism:

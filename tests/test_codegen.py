@@ -1,6 +1,7 @@
 """Straight-line tape code (`emit_tape`, reached through `Tape.compiled`)
-against the tape interpreter it replaces in the phi_k kernels: status,
-bad instruction, value and gradient must agree bitwise."""
+against the tape interpreter it replaces in the phi_k kernels and the
+spot checks: status, bad instruction, value and gradient must agree
+bitwise, and `eval_compiled` must return and raise what `eval_tapes` does."""
 import math
 import struct
 
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 import akkt._kernels_py as kernels_py
-from akkt.expr import Expr, parse_expr
+from akkt.expr import DomainError, Expr, parse_expr
 from akkt.penalty import ProblemKernel
 from akkt.problem import load_problem_dict
-from akkt.tape import compile_tape
+from akkt.tape import compile_tape, eval_compiled, eval_tapes
 
 from _synthetic import random_expr_text, random_point
 
@@ -62,7 +63,7 @@ def test_negative_powers_and_quotients_agree(text):
         assert _assert_agree(e, rng.uniform(0.1, 3.0, size=2) * rng.choice([-1.0, 1.0], 2))[0] == 0
 
 
-@pytest.mark.parametrize("text, x, status, bad", [
+GUARD_CASES = [
     ("1/x0", [0.0], 1, 2),
     ("x0/(x1 - x1)", [1.0, 2.0], 1, 4),
     ("log(x0)", [0.0], 2, 1),
@@ -82,7 +83,10 @@ def test_negative_powers_and_quotients_agree(text):
     ("log(x0) + 1", [5e-324], 5, 3),    # gradient: last instruction
     ("x0 + x1", [math.nan, 0.0], 5, 0),
     ("x1 - x0", [-INF, 0.0], 5, 1),
-])
+]
+
+
+@pytest.mark.parametrize("text, x, status, bad", GUARD_CASES)
 def test_every_guard_agrees(text, x, status, bad):
     e = parse_expr(text, len(x))
     assert _assert_agree(e, x)[:2] == (status, bad)
@@ -99,6 +103,41 @@ def test_non_finite_constant_is_read_from_the_pool(value):
 @pytest.mark.parametrize("x", [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
 def test_signed_zeros_agree(text, x):
     assert _assert_agree(parse_expr(text, 2), x)[0] == 0
+
+
+def _outcome(evaluate, tape, x):
+    """The bits of (value, gradient), or the type and text of the error."""
+    try:
+        value, grad = evaluate(tape, x)
+    except (DomainError, ValueError) as e:
+        return type(e), str(e)
+    return _bits((0, -1, value, tuple(grad)))
+
+
+def _eval_tapes_one(tape, x):
+    values, grads = eval_tapes((tape,), x)
+    return values[0], grads[0]
+
+
+def test_eval_compiled_returns_and_raises_what_eval_tapes_does():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        e = parse_expr(random_expr_text(rng, n), n)
+        cases += [(e, random_point(rng, n).tolist()) for _ in range(3)]
+    # eval_compiled leaves the finiteness of the point to its caller
+    cases += [(parse_expr(text, len(x)), x) for text, x, *_ in GUARD_CASES
+              if all(map(math.isfinite, x))]
+    cases += [(Expr("const", value=v), [1.0]) for v in (INF, -INF, math.nan)]
+    cases.append((parse_expr("x0 + x1", 2), [1.0]))  # wrong dimension
+    errors = 0
+    for e, x in cases:
+        tape = compile_tape(e)
+        got = _outcome(eval_compiled, tape, x)
+        assert got == _outcome(_eval_tapes_one, tape, np.array(x)), (e, x)
+        errors += got[0] in (DomainError, ValueError)
+    assert errors == 21
 
 
 def test_wrong_dimension_is_refused():
