@@ -1,25 +1,111 @@
-"""Tape interpreter, tape and phi_k code generators and inner-loop
-kernels, on plain floats and `math` calls; this module defines the
-scalar semantics of a tape.
+"""Tape evaluators and phi_k code generators on plain floats and `math`
+calls, with a numpy twin for rows; this module defines the semantics of
+a tape.
 
-`_run_tape` interprets a tape read as it is (tuples of ints and floats);
-`eval_tape` runs it for one-off evaluations.  `emit_tape` compiles a
-tape into a straight-line function that performs the same float
-operations in the same order, so its results are bitwise the
-interpreter's.  `emit_program` compiles a problem's whole phi_k layer
-over those functions into two straight-line functions, phi_k with its
+A tape is a postorder program over a stack of slots, each a value and
+its gradient.  `OPS` defines every opcode but const, var and pow once,
+as ordered steps over the operands' values A and B, their gradient
+entries GA and GB, the new value V and a chain factor DC:
+
+- ("guard", cond, status): the ok-condition of a domain guard, which
+  reads one operand and names it first; scalar code leaves with the
+  status where it is false;
+- ("value", formula[, status]): the new value; with a status, the
+  scalar formula raises OverflowError where its result is out of range
+  and scalar code leaves with that status;
+- ("chain", formula): the chain factor DC;
+- ("grad", formula): each gradient entry of the result.
+
+A and V share a slot in the straight-line code, so a row reads A only
+before its value step and V only after it.  Three evaluators are
+rendered from the table, with const, var and pow written out in each:
+
+- `_run_tape`, the interpreter, rendered once at import; `eval_tape`
+  runs it for one-off evaluations;
+- `emit_tape`, straight-line code for one tape and dimension, with the
+  interpreter's float operations in the same order, so its results are
+  bitwise the interpreter's;
+- `eval_rows`, values only over the rows of a numpy array, rendered once
+  at import, behind `tape.eval_batch`.  A guard's condition is its row
+  mask, and the guarded operand is evaluated at 1.0 on the rows it
+  fails; pow keeps numpy's `**`.
+
+`emit_program` compiles a problem's whole phi_k layer over the
+`emit_tape` functions into two straight-line functions, phi_k with its
 subgradient and a whole subgradient round, unrolled over the point's
 coordinates; the kernels `eval_phi_k` and `subgrad_round` only call
-them.  Status codes: 0 ok, 1 division by zero, 2 log domain, 3 sqrt
-domain, 4 zero base with negative exponent, 5 non-finite value.
+them.  Rendered code holds only table text, opcodes, integer indices and
+the repr of finite floats, never user text.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from math import cos, exp, inf, isfinite, log, sin, sqrt
 
+import numpy as np
 
+STATUS_MESSAGES = {
+    1: "division by zero",
+    2: "log of a non-positive value",
+    3: "sqrt of a non-positive value",
+    4: "zero raised to a negative power",
+    5: "non-finite value",
+}
+
+# opcode: (name, arity, may turn finite operands non-finite in scalar
+# code, steps); exp raises OverflowError there instead
+OPS = {
+    2: ("add", 2, True, (("value", "A + B"), ("grad", "GA + GB"))),
+    3: ("sub", 2, True, (("value", "A - B"), ("grad", "GA - GB"))),
+    4: ("mul", 2, True, (("grad", "GA * B + A * GB"), ("value", "A * B"))),
+    5: ("div", 2, True, (("guard", "B != 0.0", 1), ("value", "A / B"),
+                         ("grad", "(GA - V * GB) / B"))),
+    7: ("neg", 1, False, (("value", "-A"), ("grad", "-GA"))),
+    8: ("exp", 1, False, (("value", "exp(A)", 5), ("grad", "V * GA"))),
+    9: ("log", 1, False, (("guard", "A > 0.0", 2), ("grad", "GA / A"), ("value", "log(A)"))),
+    10: ("sin", 1, False, (("chain", "cos(A)"), ("value", "sin(A)"), ("grad", "DC * GA"))),
+    11: ("cos", 1, False, (("chain", "-sin(A)"), ("value", "cos(A)"), ("grad", "DC * GA"))),
+    12: ("sqrt", 1, False, (("guard", "A > 0.0", 3), ("value", "sqrt(A)"),
+                           ("chain", "0.5 / V"), ("grad", "DC * GA"))),
+}
+
+_NAME = re.compile(r"\b(GA|GB|DC|A|B|V)\b")
+
+
+def _scalar_lines(steps, names, fail, grad):
+    """Lines of one row's steps in scalar code.  names maps the table's
+    names to the evaluator's, fail(status) is the statement leaving with
+    a status and grad(line) gives the lines of a gradient update."""
+    out = []
+    after_value = False
+    for kind, text, *status in steps:
+        used = set(_NAME.findall(text))
+        if ("A" in used and after_value) or ("V" in used and not after_value):
+            raise ValueError(f"step {text!r} reads A after or V before the value step")
+        text = _NAME.sub(lambda m: names[m.group()], text)
+        if kind == "guard":
+            out.append(f"if not ({text}): " + fail(status[0]))
+        elif kind == "value":
+            after_value = True
+            line = f"{names['V']} = {text}"
+            out += [f"try: {line}", "except OverflowError: " + fail(status[0])] if status else [line]
+        elif kind == "chain":
+            out.append(f"{names['DC']} = {text}")
+        else:
+            out += grad(f"{names['GA']} = {text}")
+    return out
+
+
+# Every name the scalar rendered code reads besides its locals, `consts`
+# (the constant pool bound per tape function) and the tape functions
+# f{t} a program calls.
+_EMIT_GLOBALS = {"__builtins__": {}, "OverflowError": OverflowError, "isfinite": isfinite,
+                 "exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt,
+                 "float": float, "range": range, "inf": inf}
+
+_INTERPRETER = '''\
 def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
     """Interpret instructions [i0, i1); result lands in vs[0]/gs[0].
 
@@ -42,43 +128,8 @@ def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
             for j in range(n):
                 g[j] = 0.0
             g[a] = 1.0
-        elif op == 2:  # add
-            b = vs[sp]
-            gb = gs[sp]
-            sp -= 1
-            vs[sp] = vs[sp] + b
-            ga = gs[sp]
-            for j in range(n):
-                ga[j] = ga[j] + gb[j]
-        elif op == 3:  # sub
-            b = vs[sp]
-            gb = gs[sp]
-            sp -= 1
-            vs[sp] = vs[sp] - b
-            ga = gs[sp]
-            for j in range(n):
-                ga[j] = ga[j] - gb[j]
-        elif op == 4:  # mul
-            b = vs[sp]
-            gb = gs[sp]
-            sp -= 1
-            va = vs[sp]
-            vs[sp] = va * b
-            ga = gs[sp]
-            for j in range(n):
-                ga[j] = ga[j] * b + va * gb[j]
-        elif op == 5:  # div
-            b = vs[sp]
-            gb = gs[sp]
-            sp -= 1
-            if b == 0.0:
-                return 1, i
-            v = vs[sp] / b
-            vs[sp] = v
-            ga = gs[sp]
-            for j in range(n):
-                ga[j] = (ga[j] - v * gb[j]) / b
-        elif op == 6:  # pow, integer exponent in a
+{rows}
+        else:  # pow, integer exponent in a
             v0 = vs[sp]
             g = gs[sp]
             if a == 0:
@@ -104,52 +155,6 @@ def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
                     dc = a * v / v0
                 for j in range(n):
                     g[j] = dc * g[j]
-        elif op == 7:  # neg
-            vs[sp] = -vs[sp]
-            g = gs[sp]
-            for j in range(n):
-                g[j] = -g[j]
-        elif op == 8:  # exp
-            try:
-                v = exp(vs[sp])
-            except OverflowError:  # C exp would return inf
-                v = float("inf")
-            vs[sp] = v
-            g = gs[sp]
-            for j in range(n):
-                g[j] = v * g[j]
-        elif op == 9:  # log
-            v0 = vs[sp]
-            if v0 <= 0.0:
-                return 2, i
-            vs[sp] = log(v0)
-            g = gs[sp]
-            for j in range(n):
-                g[j] = g[j] / v0
-        elif op == 10:  # sin
-            v0 = vs[sp]
-            vs[sp] = sin(v0)
-            c = cos(v0)
-            g = gs[sp]
-            for j in range(n):
-                g[j] = c * g[j]
-        elif op == 11:  # cos
-            v0 = vs[sp]
-            vs[sp] = cos(v0)
-            s = -sin(v0)
-            g = gs[sp]
-            for j in range(n):
-                g[j] = s * g[j]
-        else:  # sqrt
-            v0 = vs[sp]
-            if v0 <= 0.0:
-                return 3, i
-            v = sqrt(v0)
-            vs[sp] = v
-            dc = 0.5 / v
-            g = gs[sp]
-            for j in range(n):
-                g[j] = dc * g[j]
         if not isfinite(vs[sp]):
             return 5, i
     g = gs[0]
@@ -157,6 +162,77 @@ def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
         if not isfinite(g[j]):
             return 5, i1 - 1
     return 0, -1
+'''
+
+
+def _interpreter_row(op, name, arity, steps):
+    # A and V are read from vs[sp], which the row overwrites only at its
+    # value step, except that one the row reads in its gradient loop or
+    # twice is held in a local, va or v, as the hand-written loop did
+    reads = [(kind, _NAME.findall(text)) for kind, text, *_ in steps]
+    local = {x for x in "AV" if sum(r.count(x) for _, r in reads) > 1
+             or any(x in r for kind, r in reads if kind == "grad")}
+    names = {"A": "va" if "A" in local else "vs[sp]", "B": "vb",
+             "V": "v" if "V" in local else "vs[sp]", "GA": "ga[j]", "GB": "gb[j]", "DC": "dc"}
+    lines = ["vb = vs[sp]", "gb = gs[sp]", "sp -= 1"] if arity == 2 else []
+    lines += ["va = vs[sp]"] if "A" in local else []
+    lines += ["ga = gs[sp]"] + _scalar_lines(
+        steps, names, lambda status: f"return {status}, i",
+        lambda line: ["for j in range(n):", "    " + line])
+    lines += ["vs[sp] = v"] if "V" in local else []
+    return f"        elif op == {op}:  # {name}\n" + "".join(f"            {s}\n" for s in lines)
+
+
+_EVAL_ROWS = '''\
+def eval_rows(ops, arg, consts, X, ok):
+    """Values of one tape over the rows of X (shape (m, n)); clears ok
+    (shape (m,)) on the rows where a guard fails or a value is not
+    finite.  Values on those rows are unspecified.
+    """
+    m = X.shape[0]
+    stack = []
+    for op, a in zip(ops, arg):
+        if op == 0:  # const
+            stack.append(full(m, consts[a]))
+        elif op == 1:  # var
+            stack.append(X[:, a].copy())
+{rows}
+        else:  # pow, integer exponent in a, so negative bases stay exact
+            if a < 0:
+                ok &= stack[-1] != 0.0
+                stack[-1] = where(stack[-1] == 0.0, 1.0, stack[-1])
+            stack[-1] = stack[-1] ** a
+        ok &= isfinite(stack[-1])
+    return stack[0]
+'''
+
+
+def _rows_row(op, name, arity, steps):
+    lines = ["vb = stack.pop()"] if arity == 2 else []
+    for kind, text, *_ in steps:
+        if kind in ("guard", "value"):
+            text = _NAME.sub(lambda m: {"A": "stack[-1]", "B": "vb"}[m.group()], text)
+        if kind == "guard":
+            operand = text.split()[0]
+            lines += [f"good = {text}", "ok &= good", f"{operand} = where(good, {operand}, 1.0)"]
+        elif kind == "value":
+            lines.append(f"stack[-1] = {text}")
+    return f"        elif op == {op}:  # {name}\n" + "".join(f"            {s}\n" for s in lines)
+
+
+def _render(template, row, source, namespace, fn):
+    rows = "".join(row(op, name, arity, steps) for op, (name, arity, _, steps) in OPS.items())
+    namespace = dict(namespace)
+    exec(compile(template.replace("{rows}\n", rows), source, "exec"), namespace)
+    return namespace[fn]
+
+
+_run_tape = _render(_INTERPRETER, _interpreter_row, "<tape interpreter>", _EMIT_GLOBALS,
+                    "_run_tape")
+eval_rows = _render(_EVAL_ROWS, _rows_row, "<batch evaluator>", {
+    "__builtins__": {}, "zip": zip, "full": np.full, "where": np.where,
+    "isfinite": np.isfinite, "exp": np.exp, "log": np.log, "sin": np.sin,
+    "cos": np.cos, "sqrt": np.sqrt}, "eval_rows")
 
 
 def eval_tape(ops, arg, consts, start, end, x, grad_out, max_stack):
@@ -176,12 +252,16 @@ def eval_tape(ops, arg, consts, start, end, x, grad_out, max_stack):
     return 0, -1, vs[0]
 
 
-# Every name emitted code reads besides its locals, `consts` (the
-# constant pool bound per tape function) and the tape functions f{t} a
-# program calls.
-_EMIT_GLOBALS = {"__builtins__": {}, "OverflowError": OverflowError, "isfinite": isfinite,
-                 "exp": exp, "log": log, "sin": sin, "cos": cos, "sqrt": sqrt,
-                 "float": float, "range": range, "inf": inf}
+# opcode: (arity, may turn non-finite, [(per gradient entry, line template)])
+# over the slots {s} (result, first operand) and {b} (second operand),
+# the instruction {i} and the gradient entry {j}
+_EMIT_ROWS = {
+    op: (arity, check, [("{j}" in line, line) for line in _scalar_lines(
+        steps, {"A": "v{s}", "B": "v{b}", "V": "v{s}", "GA": "g{s}_{j}", "GB": "g{b}_{j}",
+                "DC": "dc"},
+        lambda status: f"return {status}, {{i}}, 0.0, None", lambda line: [line])])
+    for op, (_, arity, check, steps) in OPS.items()
+}
 
 
 def emit_tape(ops, arg, consts, n):
@@ -192,12 +272,10 @@ def emit_tape(ops, arg, consts, n):
     `_run_tape` in the same order, densely over all n gradient entries,
     with stack slot s held in the locals v{s} and g{s}_{j}; its results
     are bitwise those of `_run_tape`.  The finiteness check is left out
-    after instructions that cannot turn finite operands non-finite
-    (a finite constant, pow 0, neg, exp, which raises instead, and log,
-    sin, cos, sqrt behind their guards).  A guard violation returns
-    (status, i, 0.0, None) with i the index within this tape.  The
-    source holds only opcode translations, integer indices and the repr
-    of finite floats; a non-finite constant is read from the pool.
+    after a finite constant, pow 0 and the `OPS` rows that cannot turn
+    finite operands non-finite.  A guard violation returns
+    (status, i, 0.0, None) with i the index within this tape.  A
+    non-finite constant is read from the pool.
     """
     J = range(n)
     body = ["".join(f"x{j}, " for j in J) + "= x"]
@@ -206,7 +284,7 @@ def emit_tape(ops, arg, consts, n):
     fail = "return %d, %d, 0.0, None"
     for i, (op, a) in enumerate(zip(ops, arg)):
         a = int(a)
-        check = op in (1, 2, 3, 4, 5, 6)  # var, binary ops, pow: may turn non-finite
+        check = op in (1, 6)  # var, pow: may be non-finite
         if op == 0:  # const
             sp += 1
             c = float(consts[a])
@@ -220,22 +298,6 @@ def emit_tape(ops, arg, consts, n):
             sp += 1
             out(f"v{sp} = x{a}")
             body.extend(f"g{sp}_{j} = {'1.0' if j == a else '0.0'}" for j in J)
-        elif op <= 5:  # add, sub, mul, div: slot s op= slot b
-            sp -= 1
-            s, b = sp, sp + 1
-            if op == 2:
-                out(f"v{s} = v{s} + v{b}")
-                body.extend(f"g{s}_{j} = g{s}_{j} + g{b}_{j}" for j in J)
-            elif op == 3:
-                out(f"v{s} = v{s} - v{b}")
-                body.extend(f"g{s}_{j} = g{s}_{j} - g{b}_{j}" for j in J)
-            elif op == 4:
-                body.extend(f"g{s}_{j} = g{s}_{j} * v{b} + v{s} * g{b}_{j}" for j in J)
-                out(f"v{s} = v{s} * v{b}")
-            else:
-                out(f"if v{b} == 0.0: " + fail % (1, i))
-                out(f"v{s} = v{s} / v{b}")
-                body.extend(f"g{s}_{j} = (g{s}_{j} - v{s} * g{b}_{j}) / v{b}" for j in J)
         elif op == 6:  # pow, integer exponent in a
             if a == 0:
                 out(f"v{sp} = 1.0")
@@ -254,30 +316,14 @@ def emit_tape(ops, arg, consts, n):
                     out(f"dc = {a} * w / v{sp}")
                     out(f"v{sp} = w")
                 body.extend(f"g{sp}_{j} = dc * g{sp}_{j}" for j in J)
-        elif op == 7:  # neg
-            out(f"v{sp} = -v{sp}")
-            body.extend(f"g{sp}_{j} = -g{sp}_{j}" for j in J)
-        elif op == 8:  # exp
-            out(f"try: v{sp} = exp(v{sp})")
-            out("except OverflowError: " + fail % (5, i))
-            body.extend(f"g{sp}_{j} = v{sp} * g{sp}_{j}" for j in J)
-        elif op == 9:  # log
-            out(f"if v{sp} <= 0.0: " + fail % (2, i))
-            body.extend(f"g{sp}_{j} = g{sp}_{j} / v{sp}" for j in J)
-            out(f"v{sp} = log(v{sp})")
-        elif op == 10:  # sin
-            out(f"dc = cos(v{sp})")
-            out(f"v{sp} = sin(v{sp})")
-            body.extend(f"g{sp}_{j} = dc * g{sp}_{j}" for j in J)
-        elif op == 11:  # cos
-            out(f"dc = -sin(v{sp})")
-            out(f"v{sp} = cos(v{sp})")
-            body.extend(f"g{sp}_{j} = dc * g{sp}_{j}" for j in J)
-        elif op == 12:  # sqrt
-            out(f"if v{sp} <= 0.0: " + fail % (3, i))
-            out(f"v{sp} = sqrt(v{sp})")
-            out(f"dc = 0.5 / v{sp}")
-            body.extend(f"g{sp}_{j} = dc * g{sp}_{j}" for j in J)
+        elif op in _EMIT_ROWS:
+            arity, check, lines = _EMIT_ROWS[op]
+            sp -= arity - 1
+            for per_j, line in lines:
+                if per_j:
+                    body.extend(line.format(s=sp, b=sp + 1, i=i, j=j) for j in J)
+                else:
+                    out(line.format(s=sp, b=sp + 1, i=i))
         else:
             raise ValueError(f"unknown opcode {op!r}")
         if check:

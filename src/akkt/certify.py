@@ -472,9 +472,10 @@ def _spot_check_hypotheses(pr: Problem, xb: np.ndarray, seed: int) -> int:
     200 pairs (u, v) from the same box, g(u) the gradient of the
     strict-argmax piece at u; a pair where a piece trips a domain guard
     at u or v is skipped, since convexity is only asserted on the
-    domain.  Returns the smallest number of pairs checked for any one
-    function.  The points of each function are drawn in one call and
-    evaluated through the tapes' generated code.
+    domain, and a function with no pair left raises ValueError, since
+    its assertion went unchecked.  Returns the smallest number of pairs
+    checked for any one function.  The points of each function are
+    drawn in one call and evaluated through the tapes' generated code.
     """
     rng = np.random.default_rng(seed)
     for j, tape in enumerate(pr.eq_tapes):
@@ -496,7 +497,7 @@ def _spot_check_hypotheses(pr: Problem, xb: np.ndarray, seed: int) -> int:
         for (u, v), step in zip(pairs.tolist(), steps):
             try:
                 # max keeps the first of equal values: the strict-argmax
-                # piece, ties to the lowest index, as `max_piece` selects
+                # piece, ties to the lowest index, as the kernels select
                 fu, grad_u = max((eval_compiled(tape, u) for tape in fn.tapes),
                                  key=lambda res: res[0])
                 fv = max(eval_compiled(tape, v)[0] for tape in fn.tapes)
@@ -508,6 +509,11 @@ def _spot_check_hypotheses(pr: Problem, xb: np.ndarray, seed: int) -> int:
                     f"subgradient inequality fails for u={u}, v={v}"
                 )
             count += 1
+        if count == 0:
+            raise ValueError(
+                f"convexity assertion for '{fn.label}' could not be spot-checked: "
+                f"every drawn pair left its domain"
+            )
         checked.append(count)
     return min(checked)
 
@@ -522,7 +528,8 @@ def certify_weak_efficiency_convex(pr: Problem, xbar, records,
     across 10 random points within 1e-9).  The convexity assertion is
     spot-checked on 200 seeded pairs per function, skipping a pair that
     leaves a function's domain; a violation raises with the offending
-    pair (`_spot_check_hypotheses`).  Certification then demands A0-A3
+    pair, and so does a function whose every pair left its domain
+    (`_spot_check_hypotheses`).  Certification then demands A0-A3
     on the records with the fixed-gradient residual (the AKKT' variant)
     at activity tolerance eps_act, plus SCZ.  Evidence includes the
     limit scalarization sum_l lam_l f_l(xbar) and, as

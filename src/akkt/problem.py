@@ -56,16 +56,6 @@ class PiecewiseMaxFn:
         vals, grads = eval_tapes(self.tapes, x)
         return max(vals), vals, grads
 
-    def max_piece(self, x) -> tuple[float, np.ndarray]:
-        """(value, gradient) of the strict-argmax piece at x: exact ties
-        keep the lowest piece index, the kernels' selection rule."""
-        vals, grads = eval_tapes(self.tapes, x)
-        jb = 0
-        for j in range(1, len(vals)):
-            if vals[j] > vals[jb]:
-                jb = j
-        return vals[jb], grads[jb]
-
 
 @dataclass(frozen=True)
 class Problem:

@@ -4,15 +4,16 @@ A tape is a postorder opcode sequence over a stack of (value, gradient)
 pairs, so one sweep yields the exact analytic gradient.  Opcodes, their
 arguments and the constant pool are plain tuples of ints and floats,
 built once per expression.  `_kernels_py` (bound as `backend.kernels`)
-runs a tape two ways with one scalar semantics: its interpreter serves
-one-off evaluations (`eval_grad`, `eval_tapes`), and `Tape.compiled`
-turns a tape into straight-line Python once per dimension for the
-penalty kernels' inner loop and for one-off evaluations of many points
-(`eval_compiled`, which the convex certifier's spot checks run).  The
-two give bitwise equal results.  `eval_batch` runs a values-only numpy
-version over rows.  Domain guards (division by zero, log/sqrt of
-non-positive arguments, 0^negative, any non-finite intermediate) abort
-evaluation and name the offending subexpression.
+defines each opcode once, in its table `OPS`, and renders three
+evaluators from it: the interpreter serves one-off evaluations
+(`eval_grad`, `eval_tapes`); `Tape.compiled` turns a tape into
+straight-line Python once per dimension for the penalty kernels' inner
+loop and for one-off evaluations of many points (`eval_compiled`, which
+the convex certifier's spot checks run), bitwise equal to the
+interpreter; and `eval_batch` runs a values-only numpy version over
+rows.  Domain guards (division by zero, log/sqrt of non-positive
+arguments, 0^negative, any non-finite intermediate) abort evaluation
+and name the offending subexpression.
 """
 
 from __future__ import annotations
@@ -23,32 +24,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import backend
+from ._kernels_py import OPS, STATUS_MESSAGES
 from .expr import DomainError, Expr, unparse
 
 OP_CONST = 0
 OP_VAR = 1
-OP_ADD = 2
-OP_SUB = 3
-OP_MUL = 4
-OP_DIV = 5
 OP_POW = 6
-OP_NEG = 7
-OP_EXP = 8
-OP_LOG = 9
-OP_SIN = 10
-OP_COS = 11
-OP_SQRT = 12
 
-_FUNC_OPS = {"exp": OP_EXP, "log": OP_LOG, "sin": OP_SIN, "cos": OP_COS, "sqrt": OP_SQRT}
-_BIN_OPS = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV}
-
-STATUS_MESSAGES = {
-    1: "division by zero",
-    2: "log of a non-positive value",
-    3: "sqrt of a non-positive value",
-    4: "zero raised to a negative power",
-    5: "non-finite value",
-}
+# every other node op is a row of the opcode table, under its own name
+_TABLE_OPS = {name: (op, arity) for op, (name, arity, _, _) in OPS.items()}
 
 
 @dataclass(frozen=True)
@@ -92,24 +76,17 @@ def compile_tape(e: Expr) -> Tape:
             arg.append(node.index)
             n_min = max(n_min, node.index + 1)
             depth += 1
-        elif node.op in _BIN_OPS:
-            emit(node.args[0])
-            emit(node.args[1])
-            ops.append(_BIN_OPS[node.op])
-            arg.append(0)
-            depth -= 1
-        elif node.op == "neg":
-            emit(node.args[0])
-            ops.append(OP_NEG)
-            arg.append(0)
         elif node.op == "pow":
             emit(node.args[0])
             ops.append(OP_POW)
             arg.append(node.exponent)
-        elif node.op in _FUNC_OPS:
-            emit(node.args[0])
-            ops.append(_FUNC_OPS[node.op])
+        elif node.op in _TABLE_OPS:
+            op, arity = _TABLE_OPS[node.op]
+            for a in node.args:
+                emit(a)
+            ops.append(op)
             arg.append(0)
+            depth -= arity - 1
         else:
             raise ValueError(f"unknown op {node.op!r}")
         nodes.append(node)
@@ -196,63 +173,21 @@ def eval_batch(e: Expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (values, ok) where ok marks rows that evaluated cleanly;
     rows violating a domain guard or producing a non-finite intermediate
     get ok=False instead of raising, as `eval_value` would raise there.
+    Values on rows with ok False are unspecified.  One case differs
+    from `eval_value`: a row whose value is finite while its gradient
+    overflows (x0^-1 at 1e-200) is ok here, where `eval_value` raises.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must have shape (m, n)")
-    m = X.shape[0]
     tape = compile_tape(e)
     if tape.n_min > X.shape[1]:
         raise ValueError(
             f"expression uses x{tape.n_min - 1} but points have dimension {X.shape[1]}"
         )
-    stack: list[np.ndarray] = []
-    ok = np.ones(m, dtype=bool)
+    ok = np.ones(X.shape[0], dtype=bool)
     for j in range(X.shape[1]):
         ok &= np.isfinite(X[:, j])
     with np.errstate(all="ignore"):
-        for op, a in zip(tape.ops, tape.arg):
-            if op == OP_CONST:
-                stack.append(np.full(m, tape.consts[a]))
-            elif op == OP_VAR:
-                stack.append(X[:, a].copy())
-            elif op == OP_ADD:
-                b = stack.pop()
-                stack[-1] = stack[-1] + b
-            elif op == OP_SUB:
-                b = stack.pop()
-                stack[-1] = stack[-1] - b
-            elif op == OP_MUL:
-                b = stack.pop()
-                stack[-1] = stack[-1] * b
-            elif op == OP_DIV:
-                b = stack.pop()
-                ok &= b != 0.0
-                stack[-1] = np.where(b != 0.0, stack[-1] / np.where(b == 0.0, 1.0, b), np.nan)
-            elif op == OP_POW:
-                base = stack[-1]
-                # integer exponent so negative bases stay exact
-                if a < 0:
-                    ok &= base != 0.0
-                    safe = np.where(base == 0.0, 1.0, base)
-                    stack[-1] = safe ** a
-                else:
-                    stack[-1] = base ** a
-            elif op == OP_NEG:
-                stack[-1] = -stack[-1]
-            elif op == OP_EXP:
-                stack[-1] = np.exp(stack[-1])
-            elif op == OP_LOG:
-                v = stack[-1]
-                ok &= v > 0.0
-                stack[-1] = np.log(np.where(v > 0.0, v, 1.0))
-            elif op == OP_SIN:
-                stack[-1] = np.sin(stack[-1])
-            elif op == OP_COS:
-                stack[-1] = np.cos(stack[-1])
-            elif op == OP_SQRT:
-                v = stack[-1]
-                ok &= v > 0.0
-                stack[-1] = np.sqrt(np.where(v > 0.0, v, 1.0))
-            ok &= np.isfinite(stack[-1])
-    return stack[0], ok
+        values = backend.kernels.eval_rows(tape.ops, tape.arg, tape.consts, X, ok)
+    return values, ok

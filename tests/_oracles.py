@@ -14,6 +14,11 @@ generated phi_k program, the prescaled Wolfe linear minimization oracle,
 the constraints-first grid scan and the convex certifier's block-drawn,
 generated-code spot checks replaced, kept to check those bitwise.  They
 run the package's tape functions, batch evaluator and Wolfe helpers.
+
+The tape interpreter and the numpy batch loop are the hand-written
+evaluators that the opcode table's renderings (`_kernels_py.OPS`)
+replaced, kept to check the interpreter and the straight-line code
+bitwise and the batch evaluator on the rows it marks ok.
 """
 import itertools
 import math
@@ -23,7 +28,7 @@ import numpy as np
 from akkt.certify import OracleResult
 from akkt.minnorm import ConvergenceError, MinNormResult, _affine_min_norm, _validate_factors
 from akkt.expr import DomainError
-from akkt.tape import _check_point, eval_batch, eval_grad, eval_tapes, eval_value
+from akkt.tape import _check_point, compile_tape, eval_batch, eval_grad, eval_tapes, eval_value
 
 
 def min_norm_oracle(factors):
@@ -117,13 +122,13 @@ def one_selection_subgradient(kern, k: float, x) -> np.ndarray:
     phi = -math.inf
     d = None
     for l, fobj in enumerate(pr.objectives):
-        v, g = fobj.max_piece(x)
+        v, g = max_piece(fobj, x)
         fl = v - float(kern.fbar[l])
         if fl > phi:
             phi = fl
             d = g
     for gfn in pr.inequalities:
-        v, g = gfn.max_piece(x)
+        v, g = max_piece(gfn, x)
         if v > 0.0:
             d += (k * v) * g
     for h in pr.equalities:
@@ -448,9 +453,10 @@ def divmod_grid_block(axes, counts, start, size) -> np.ndarray:
 
 def spot_check_reference(pr, xb, seed: int) -> int:
     """The convex certifier's hypothesis spot checks as a per-point loop:
-    one draw per point, every point through `eval_tapes` and the
-    functions' `max_piece` and `value`.  Pairs that trip a domain guard
-    are skipped; returns the smallest number of pairs checked for any
+    one draw per point, every point through `eval_tapes`, the
+    strict-argmax piece (`max_piece`) and the functions' `value`.  Pairs
+    that trip a domain guard are skipped, and a function with none left
+    is an error; returns the smallest number of pairs checked for any
     one function."""
     rng = np.random.default_rng(seed)
     for j, tape in enumerate(pr.eq_tapes):
@@ -470,7 +476,7 @@ def spot_check_reference(pr, xb, seed: int) -> int:
             u = xb + rng.uniform(-1.0, 1.0, size=pr.n)
             v = xb + rng.uniform(-1.0, 1.0, size=pr.n)
             try:
-                fu, grad_u = fn.max_piece(u)
+                fu, grad_u = max_piece(fn, u)
                 fv = fn.value(v)
             except DomainError:
                 continue
@@ -481,5 +487,231 @@ def spot_check_reference(pr, xb, seed: int) -> int:
                     f"v={v.tolist()}"
                 )
             count += 1
+        if count == 0:
+            raise ValueError(
+                f"convexity assertion for '{fn.label}' could not be spot-checked: "
+                f"every drawn pair left its domain"
+            )
         checked.append(count)
     return min(checked)
+
+
+def _run_tape_reference(ops, arg, consts, i0, i1, x, n, vs, gs):
+    """Interpret instructions [i0, i1); result lands in vs[0]/gs[0].
+
+    Returns (status, bad_instr).
+    """
+    sp = -1
+    for i in range(i0, i1):
+        op = ops[i]
+        a = arg[i]
+        if op == 0:  # const
+            sp += 1
+            vs[sp] = consts[a]
+            g = gs[sp]
+            for j in range(n):
+                g[j] = 0.0
+        elif op == 1:  # var
+            sp += 1
+            vs[sp] = x[a]
+            g = gs[sp]
+            for j in range(n):
+                g[j] = 0.0
+            g[a] = 1.0
+        elif op == 2:  # add
+            b = vs[sp]
+            gb = gs[sp]
+            sp -= 1
+            vs[sp] = vs[sp] + b
+            ga = gs[sp]
+            for j in range(n):
+                ga[j] = ga[j] + gb[j]
+        elif op == 3:  # sub
+            b = vs[sp]
+            gb = gs[sp]
+            sp -= 1
+            vs[sp] = vs[sp] - b
+            ga = gs[sp]
+            for j in range(n):
+                ga[j] = ga[j] - gb[j]
+        elif op == 4:  # mul
+            b = vs[sp]
+            gb = gs[sp]
+            sp -= 1
+            va = vs[sp]
+            vs[sp] = va * b
+            ga = gs[sp]
+            for j in range(n):
+                ga[j] = ga[j] * b + va * gb[j]
+        elif op == 5:  # div
+            b = vs[sp]
+            gb = gs[sp]
+            sp -= 1
+            if b == 0.0:
+                return 1, i
+            v = vs[sp] / b
+            vs[sp] = v
+            ga = gs[sp]
+            for j in range(n):
+                ga[j] = (ga[j] - v * gb[j]) / b
+        elif op == 6:  # pow, integer exponent in a
+            v0 = vs[sp]
+            g = gs[sp]
+            if a == 0:
+                vs[sp] = 1.0
+                for j in range(n):
+                    g[j] = 0.0
+            else:
+                if v0 == 0.0 and a < 0:
+                    return 4, i
+                am = -a if a < 0 else a
+                p = 1.0
+                for _ in range(am - 1):
+                    p = p * v0
+                if a > 0:
+                    vs[sp] = p * v0
+                    dc = a * p
+                else:
+                    q = p * v0
+                    if q == 0.0:  # underflow: 1/q would raise
+                        return 5, i
+                    v = 1.0 / q
+                    vs[sp] = v
+                    dc = a * v / v0
+                for j in range(n):
+                    g[j] = dc * g[j]
+        elif op == 7:  # neg
+            vs[sp] = -vs[sp]
+            g = gs[sp]
+            for j in range(n):
+                g[j] = -g[j]
+        elif op == 8:  # exp
+            try:
+                v = math.exp(vs[sp])
+            except OverflowError:  # C exp would return inf
+                v = float("inf")
+            vs[sp] = v
+            g = gs[sp]
+            for j in range(n):
+                g[j] = v * g[j]
+        elif op == 9:  # log
+            v0 = vs[sp]
+            if v0 <= 0.0:
+                return 2, i
+            vs[sp] = math.log(v0)
+            g = gs[sp]
+            for j in range(n):
+                g[j] = g[j] / v0
+        elif op == 10:  # sin
+            v0 = vs[sp]
+            vs[sp] = math.sin(v0)
+            c = math.cos(v0)
+            g = gs[sp]
+            for j in range(n):
+                g[j] = c * g[j]
+        elif op == 11:  # cos
+            v0 = vs[sp]
+            vs[sp] = math.cos(v0)
+            s = -math.sin(v0)
+            g = gs[sp]
+            for j in range(n):
+                g[j] = s * g[j]
+        else:  # sqrt
+            v0 = vs[sp]
+            if v0 <= 0.0:
+                return 3, i
+            v = math.sqrt(v0)
+            vs[sp] = v
+            dc = 0.5 / v
+            g = gs[sp]
+            for j in range(n):
+                g[j] = dc * g[j]
+        if not math.isfinite(vs[sp]):
+            return 5, i
+    g = gs[0]
+    for j in range(n):
+        if not math.isfinite(g[j]):
+            return 5, i1 - 1
+    return 0, -1
+
+
+def tape_reference(tape, x):
+    """(status, bad_instr, value, gradient tuple) of a tape at x, a list
+    of floats, through the hand-written interpreter; on a guard
+    violation (status, bad_instr, 0.0, None)."""
+    n = len(x)
+    vs = [0.0] * tape.max_stack
+    gs = [[0.0] * n for _ in range(tape.max_stack)]
+    status, bad = _run_tape_reference(tape.ops, tape.arg, tape.consts, 0, len(tape.ops),
+                                      [float(v) for v in x], n, vs, gs)
+    return (status, bad, 0.0, None) if status else (0, -1, vs[0], tuple(gs[0]))
+
+
+def batch_reference(e, X):
+    """(values, ok) of e over the rows of X through the hand-written
+    numpy loop; values where ok is False are NaN after a division by
+    zero and otherwise what the masked operands give."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    m = X.shape[0]
+    tape = compile_tape(e)
+    stack = []
+    ok = np.ones(m, dtype=bool)
+    for j in range(X.shape[1]):
+        ok &= np.isfinite(X[:, j])
+    with np.errstate(all="ignore"):
+        for op, a in zip(tape.ops, tape.arg):
+            if op == 0:  # const
+                stack.append(np.full(m, tape.consts[a]))
+            elif op == 1:  # var
+                stack.append(X[:, a].copy())
+            elif op == 2:  # add
+                b = stack.pop()
+                stack[-1] = stack[-1] + b
+            elif op == 3:  # sub
+                b = stack.pop()
+                stack[-1] = stack[-1] - b
+            elif op == 4:  # mul
+                b = stack.pop()
+                stack[-1] = stack[-1] * b
+            elif op == 5:  # div
+                b = stack.pop()
+                ok &= b != 0.0
+                stack[-1] = np.where(b != 0.0, stack[-1] / np.where(b == 0.0, 1.0, b), np.nan)
+            elif op == 6:  # pow
+                base = stack[-1]
+                # integer exponent so negative bases stay exact
+                if a < 0:
+                    ok &= base != 0.0
+                    safe = np.where(base == 0.0, 1.0, base)
+                    stack[-1] = safe ** a
+                else:
+                    stack[-1] = base ** a
+            elif op == 7:  # neg
+                stack[-1] = -stack[-1]
+            elif op == 8:  # exp
+                stack[-1] = np.exp(stack[-1])
+            elif op == 9:  # log
+                v = stack[-1]
+                ok &= v > 0.0
+                stack[-1] = np.log(np.where(v > 0.0, v, 1.0))
+            elif op == 10:  # sin
+                stack[-1] = np.sin(stack[-1])
+            elif op == 11:  # cos
+                stack[-1] = np.cos(stack[-1])
+            elif op == 12:  # sqrt
+                v = stack[-1]
+                ok &= v > 0.0
+                stack[-1] = np.sqrt(np.where(v > 0.0, v, 1.0))
+            ok &= np.isfinite(stack[-1])
+    return stack[0], ok
+
+
+def max_piece(fn, x):
+    """(value, gradient) of fn's strict-argmax piece at x: exact ties
+    keep the lowest piece index, the kernels' selection rule."""
+    vals, grads = eval_tapes(fn.tapes, x)
+    jb = 0
+    for j in range(1, len(vals)):
+        if vals[j] > vals[jb]:
+            jb = j
+    return vals[jb], grads[jb]

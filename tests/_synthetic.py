@@ -1,9 +1,10 @@
 """Seeded random expressions, problems, and multiplier triples.
 
-Everything generated here is guard-free by construction: log and sqrt
-arguments are bounded below by positive constants, exp arguments are
-kept small, and there is no division.  Any point in the box [-1.5, 1.5]^n
-is therefore safe to evaluate, including finite-difference shifts.
+Everything generated here but `random_guarded_expr_text` is guard-free
+by construction: log and sqrt arguments are bounded below by positive
+constants, exp arguments are kept small, and there is no division.  Any
+point in the box [-1.5, 1.5]^n is therefore safe to evaluate, including
+finite-difference shifts.
 """
 import numpy as np
 
@@ -47,6 +48,25 @@ def random_expr_text(rng, n):
     if rng.random() < 0.2:
         text = f"-({text})"
     return text
+
+
+def random_guarded_expr_text(rng, n, depth=4):
+    """An expression over x0..x{n-1} of at most `depth` levels using
+    every opcode with no bound on its operands, so division, log, sqrt,
+    negative powers and exp can trip their guards or overflow."""
+    kind = int(rng.integers(0, 13 if depth > 0 else 2))
+    if kind == 0:
+        return f"x{int(rng.integers(0, n))}"
+    if kind == 1:
+        return repr(float(rng.choice([0.0, 0.5, 2.0, 3.0])))
+    a = random_guarded_expr_text(rng, n, depth - 1)
+    if kind <= 5:
+        return f"({a} {'+-*/'[kind - 2]} {random_guarded_expr_text(rng, n, depth - 1)})"
+    if kind == 6:
+        return f"({a})^{int(rng.integers(-3, 4))}"
+    if kind == 7:
+        return f"-({a})"
+    return f"{('exp', 'log', 'sin', 'cos', 'sqrt')[kind - 8]}({a})"
 
 
 def random_point(rng, n):

@@ -153,6 +153,22 @@ class TestCertifyConvex:
         assert {c["outcome"] for c in report["conditions"]} == {"holds"}
         assert 0 < report["evidence"]["convexity_pairs_checked"] < 200
 
+    def test_domain_missed_by_every_pair_is_not_certified(self, tmp_path, capsys):
+        # the domain (0.499, 0.501) is too small for any pair drawn from
+        # [-0.5, 1.5] to land in it, so the convexity assertion goes unchecked
+        ppath, rpath = tmp_path / "narrow.json", tmp_path / "report.json"
+        ppath.write_text(json.dumps({
+            "name": "narrow", "n": 1,
+            "objectives": [{"pieces": ["-log(0.000001 - (x0 - 0.5)^2)"], "convex": True},
+                           {"pieces": ["x0"], "convex": True}],
+        }))
+        assert run(["certify-convex", str(ppath), "--point", "0.5",
+                    "--report", str(rpath)]) == 2
+        assert capsys.readouterr().err == (
+            "error: convexity assertion for 'objective 0' could not be "
+            "spot-checked: every drawn pair left its domain\n")
+        assert not rpath.exists()
+
 
 class TestOracle:
     def test_negative_box_form(self, tmp_path):

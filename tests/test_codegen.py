@@ -1,7 +1,11 @@
-"""Straight-line tape code (`emit_tape`, reached through `Tape.compiled`)
-against the tape interpreter it replaces in the phi_k kernels and the
-spot checks: status, bad instruction, value and gradient must agree
-bitwise, and `eval_compiled` must return and raise what `eval_tapes` does."""
+"""The tape evaluators rendered from the opcode table (`_kernels_py.OPS`)
+against the hand-written interpreter they replaced, kept in `_oracles`:
+the rendered interpreter behind `eval_tape` and the straight-line code
+(`emit_tape`, reached through `Tape.compiled`) that runs in the phi_k
+kernels and the spot checks must both give the reference's status, bad
+instruction, value and gradient bitwise, and `eval_compiled` must return
+and raise what `eval_tapes` does."""
+import itertools
 import math
 import struct
 
@@ -14,13 +18,15 @@ from akkt.penalty import ProblemKernel
 from akkt.problem import load_problem_dict
 from akkt.tape import compile_tape, eval_compiled, eval_tapes
 
-from _synthetic import random_expr_text, random_point
+from _oracles import tape_reference
+from _synthetic import random_expr_text, random_guarded_expr_text, random_point
 
 INF = math.inf
 
 
-def _interpreted(tape, x):
-    """(status, bad, value, gradient) from the interpreter, as `eval_tape` runs it."""
+def _rendered(tape, x):
+    """(status, bad, value, gradient) from the rendered interpreter, as
+    `eval_tape` runs it."""
     grad = [0.0] * len(x)
     status, bad, value = kernels_py.eval_tape(
         tape.ops, tape.arg, tape.consts, 0, len(tape.ops), x, grad, tape.max_stack)
@@ -36,9 +42,10 @@ def _bits(out):
 def _assert_agree(e, x):
     x = [float(v) for v in x]
     tape = compile_tape(e)
+    ref = _bits(tape_reference(tape, x))
     got = tape.compiled(len(x))(x)
-    ref = _interpreted(tape, x)
-    assert _bits(got) == _bits(ref), (e, x)
+    assert _bits(got) == ref, (e, x)
+    assert _bits(_rendered(tape, x)) == ref, (e, x)
     return got
 
 
@@ -49,6 +56,17 @@ def test_random_expressions_agree_bitwise():
         e = parse_expr(random_expr_text(rng, n), n)
         for _ in range(3):
             assert _assert_agree(e, random_point(rng, n))[0] == 0
+
+
+def test_guarded_random_expressions_agree_bitwise():
+    rng = np.random.default_rng(2025)
+    statuses = set()
+    for _ in range(150):
+        n = int(rng.integers(1, 3))
+        e = parse_expr(random_guarded_expr_text(rng, n), n)
+        for x in itertools.product([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0, 800.0], repeat=n):
+            statuses.add(_assert_agree(e, x)[0])
+    assert statuses == {0, 1, 2, 3, 4, 5}
 
 
 @pytest.mark.parametrize("text", [

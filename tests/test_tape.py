@@ -1,16 +1,20 @@
 """Tape evaluation paths: scalar helpers, precompiled pieces and
 equalities, batch rows."""
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from akkt.certify import certify_weak_efficiency_convex, check_kkt, check_qncq_sufficient
-from akkt.expr import DomainError, parse_expr
+from akkt.expr import DomainError, Expr, parse_expr, unparse
 from akkt.minnorm import MultiplierTriple, residual_m_detail
 from akkt.penalty import ProblemKernel, stationarity_model
 from akkt.problem import PiecewiseMaxFn, constraint_values, load_problem_dict
 from akkt.tape import compile_tape, eval_batch, eval_grad, eval_value
 
-from _synthetic import random_expr_text, random_point
+from _oracles import batch_reference
+from _synthetic import random_expr_text, random_guarded_expr_text, random_point
 
 
 def test_eval_helpers_agree_with_python_kernel():
@@ -40,16 +44,12 @@ class TestPrecompiledPieces:
             before = compile_tape.cache_info()
             vmax, vals, grads = fn.value_and_gradients(x)
             value = fn.value(x)
-            sel_value, sel_grad = fn.max_piece(x)
             assert compile_tape.cache_info() == before
             ref = [eval_grad(piece, x) for piece in pieces]
             assert _bits(vals) == _bits([v for v, _ in ref])
             for g, (_, g_ref) in zip(grads, ref):
                 assert _bits(g) == _bits(g_ref)
             assert _bits(value) == _bits(vmax) == _bits(max(v for v, _ in ref))
-            first = [v for v, _ in ref].index(vmax)
-            assert _bits(sel_value) == _bits(vmax)
-            assert _bits(sel_grad) == _bits(ref[first][1])
 
     def test_same_domain_error_as_eval_grad(self):
         pieces = tuple(parse_expr(t, 2) for t in ("x0 + x1", "log(x0 - 1)", "sqrt(x1 - 3)"))
@@ -58,7 +58,7 @@ class TestPrecompiledPieces:
             with pytest.raises(DomainError) as ref:
                 for piece in pieces:
                     eval_grad(piece, x)
-            for method in (fn.value, fn.value_and_gradients, fn.max_piece):
+            for method in (fn.value, fn.value_and_gradients):
                 with pytest.raises(DomainError) as got:
                     method(x)
                 assert str(got.value) == str(ref.value)
@@ -69,11 +69,11 @@ class TestPrecompiledPieces:
             fn.value([float("nan")])
 
     def test_selection_keeps_lowest_index_on_ties(self):
-        for texts, grad in ((("x0", "x1"), [1.0, 0.0]), (("x1", "x0"), [0.0, 1.0])):
-            fn = PiecewiseMaxFn(pieces=tuple(parse_expr(t, 2) for t in texts))
-            value, g = fn.max_piece([1.0, 1.0])
-            assert value == 1.0
-            assert g.tolist() == grad
+        # at x = xbar the kernel's subgradient is the selected piece's gradient
+        for texts, grad in ((["x0", "x1"], [1.0, 0.0]), (["x1", "x0"], [0.0, 1.0])):
+            pr = load_problem_dict({"name": "tie", "n": 2, "objectives": [{"pieces": texts}]})
+            kern = ProblemKernel(pr, [1.0, 1.0])
+            assert kern.subgradient(1.0, [1.0, 1.0]).tolist() == grad
 
 
 class TestPrecompiledEqualities:
@@ -208,3 +208,86 @@ class TestBatch:
             expected = np.isfinite(X).all(axis=1) & guard(X)
         assert ok.tolist() == expected.tolist()
         assert not ok[[3 * r for r in range(9)] + [30, 31]].any()
+
+    @staticmethod
+    def _guarded_cases(seed, count=150):
+        """(expression, grid) pairs whose rows trip every guard, overflow
+        exp and products, and evaluate cleanly."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(1, 3))
+            yield (parse_expr(random_guarded_expr_text(rng, n), n),
+                   np.array(list(itertools.product(
+                       [-2.0, -0.5, 0.0, 0.5, 1.0, 3.0, 800.0], repeat=n))))
+
+    def test_rendered_rows_agree_with_the_reference_loop(self):
+        flagged = clean = 0
+        for e, X in self._guarded_cases(31):
+            vals, ok = eval_batch(e, X)
+            ref_vals, ref_ok = batch_reference(e, X)
+            assert ok.tolist() == ref_ok.tolist(), unparse(e)
+            assert vals[ok].tobytes() == ref_vals[ok].tobytes(), unparse(e)
+            flagged += int((~ok).sum())
+            clean += int(ok.sum())
+        assert flagged > 1000 and clean > 1000
+
+    @staticmethod
+    def _frozen(e, x):
+        """e with every variable replaced by its value at x: the same
+        float operations on values, with a gradient identically zero."""
+        if e.op == "var":
+            return Expr("const", value=float(x[e.index]))
+        return dataclasses.replace(e, args=tuple(TestBatch._frozen(a, x) for a in e.args))
+
+    def test_scalar_and_batch_agree_on_domain_errors(self):
+        # a row is ok exactly where the scalar path evaluates the values
+        # without a guard or a non-finite value; eval_value also checks
+        # the gradient, whose overflow alone is the divergence pinned below
+        for e, X in self._guarded_cases(32):
+            _, ok = eval_batch(e, X)
+            for x, good in zip(X, ok):
+                try:
+                    value = eval_value(self._frozen(e, x), [0.0])
+                except DomainError:
+                    assert not good, (unparse(e), x)
+                    continue
+                assert good, (unparse(e), x)
+                try:
+                    assert eval_value(e, x) == value
+                except DomainError as err:
+                    assert str(err) == f"non-finite value in subexpression '{unparse(e)}'"
+
+    def test_scalar_and_batch_agree_on_values(self):
+        # numpy's ** and ufuncs may round an operation differently from
+        # repeated multiplication and libm by about an ulp; the tolerance
+        # leaves room for the tens of operations of each expression
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            e = parse_expr(random_expr_text(rng, n), n)
+            X = rng.uniform(-1.5, 1.5, size=(50, n))
+            vals, ok = eval_batch(e, X)
+            assert ok.all()
+            for x, v in zip(X, vals):
+                assert v == pytest.approx(eval_value(e, x), rel=1e-12, abs=1e-12), (unparse(e), x)
+
+    def test_gradient_only_overflow_is_ok_in_the_batch(self):
+        # the documented divergence: x0^-1 at 1e-200 is 1e200 with an
+        # infinite gradient, so eval_value raises where the row is ok
+        e = parse_expr("x0^-1", 1)
+        vals, ok = eval_batch(e, np.array([[1e-200]]))
+        assert ok.tolist() == [True] and vals[0] == 1e200
+        with pytest.raises(DomainError, match=r"^non-finite value in subexpression 'x0\^-1'$"):
+            eval_value(e, [1e-200])
+
+    @pytest.mark.parametrize("text, rel", [
+        ("x0^2", 0.0), ("x0^-1", 0.0), ("sin(x0)*x0/(x0 + 1)", 0.0),
+        ("x0^3", 1e-15), ("x0^-2", 1e-15), ("x0^7", 1e-15),
+    ])
+    def test_powers_round_within_an_ulp_of_the_scalar_path(self, text, rel):
+        X = np.random.default_rng(5).uniform(0.3, 3.0, size=(2000, 1))
+        e = parse_expr(text, 1)
+        vals, ok = eval_batch(e, X)
+        assert ok.all()
+        for x, v in zip(X, vals):
+            assert abs(v - eval_value(e, x)) <= rel * abs(v), (text, x)
