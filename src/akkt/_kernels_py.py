@@ -21,7 +21,7 @@ before its value step and V only after it.  Three evaluators are
 rendered from the table, with const, var and pow written out in each:
 
 - `_run_tape`, the interpreter, rendered once at import; `eval_tape`
-  runs it for one-off evaluations;
+  runs it for one-off evaluations, at gradient width 0 for values only;
 - `emit_tape`, straight-line code for one tape and dimension, with the
   interpreter's float operations in the same order, so its results are
   bitwise the interpreter's;
@@ -107,7 +107,8 @@ _EMIT_GLOBALS = {"__builtins__": {}, "OverflowError": OverflowError, "isfinite":
 
 _INTERPRETER = '''\
 def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
-    """Interpret instructions [i0, i1); result lands in vs[0]/gs[0].
+    """Interpret instructions [i0, i1) over n gradient entries, len(x)
+    or 0 for values only; result lands in vs[0]/gs[0].
 
     Returns (status, bad_instr).
     """
@@ -127,7 +128,8 @@ def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
             g = gs[sp]
             for j in range(n):
                 g[j] = 0.0
-            g[a] = 1.0
+            if n:
+                g[a] = 1.0
 {rows}
         else:  # pow, integer exponent in a
             v0 = vs[sp]
@@ -168,7 +170,7 @@ def _run_tape(ops, arg, consts, i0, i1, x, n, vs, gs):
 def _interpreter_row(op, name, arity, steps):
     # A and V are read from vs[sp], which the row overwrites only at its
     # value step, except that one the row reads in its gradient loop or
-    # twice is held in a local, va or v, as the hand-written loop did
+    # twice is held in a local, va or v
     reads = [(kind, _NAME.findall(text)) for kind, text, *_ in steps]
     local = {x for x in "AV" if sum(r.count(x) for _, r in reads) > 1
              or any(x in r for kind, r in reads if kind == "grad")}
@@ -236,11 +238,12 @@ eval_rows = _render(_EVAL_ROWS, _rows_row, "<batch evaluator>", {
 
 
 def eval_tape(ops, arg, consts, start, end, x, grad_out, max_stack):
-    """Evaluate one tape at x; writes the gradient into grad_out.
+    """Evaluate one tape at x; writes the gradient into grad_out, or,
+    with grad_out None, runs only the value and guard steps.
 
     Returns (status, bad_instr, value).
     """
-    n = len(x)
+    n = len(x) if grad_out is not None else 0
     xl = [float(v) for v in x]
     vs = [0.0] * max_stack
     gs = [[0.0] * n for _ in range(max_stack)]

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minnorm import MultiplierTriple, min_norm_point, residual_m_detail
+from .minnorm import MultiplierTriple, branch_sign, min_norm_point, residual_m_detail
 from .penalty import complementarity, e2_values
 from .problem import Problem, check_feasible, constraint_values
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
-from .tape import DomainError, eval_batch, eval_compiled, eval_tapes
+from .tape import DomainError, eval_batch, eval_compiled, eval_tapes, eval_values
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 NORMALIZATION_NOTE = (
@@ -155,10 +155,8 @@ def check_akkt_conditions(records, pr: Problem, xbar, tol: float,
             ref = r.k * abs(hv)
             err = abs(abs(float(r.mult.tau[j])) - ref) / max(1.0, ref)
             e1_err = max(e1_err, err)
-            sign = 1.0 if hv >= 0.0 else -1.0
-            rec_sign = r.sigma[j] if j < len(r.sigma) else math.copysign(
-                1.0, float(r.mult.tau[j])) if r.mult.tau[j] != 0.0 else 1.0
-            if hv != 0.0 and rec_sign != sign:
+            rec_sign = r.sigma[j] if j < len(r.sigma) else branch_sign(float(r.mult.tau[j]))
+            if hv != 0.0 and rec_sign != branch_sign(hv):
                 e1_ok = False
         if e1_err > E1_REL_TOL:
             e1_ok = False
@@ -441,7 +439,7 @@ def check_qncq_sufficient(pr: Problem, xbar, eps_act: float = DEFAULT_EPS_ACT,
             pt = xb + radius * rng.uniform(-1.0, 1.0, size=pr.n)
             ok = all(mu[i] * pr.inequalities[i].value(pt) > 0.0 for i in nz_mu)
             if ok:
-                ok = all(tau[j] * eval_tapes((pr.eq_tapes[j],), pt)[0][0] > 0.0
+                ok = all(tau[j] * eval_values((pr.eq_tapes[j],), pt)[0] > 0.0
                          for j in nz_tau)
             hits += 1 if ok else 0
         support.append({"radius": radius, "support_points": hits})

@@ -204,8 +204,10 @@ class MultiplierTriple:
         if self.a2_normalized and abs(float(lam.sum()) - 1.0) > 1e-9:
             raise ValueError("a2_normalized multipliers must have sum(lambda) = 1")
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.lam @ self.lam + self.mu @ self.mu + self.tau @ self.tau))
+
+def branch_sign(v: float) -> float:
+    """An equality's branch sign at its value or multiplier v (-0.0 is +)."""
+    return 1.0 if v >= 0.0 else -1.0
 
 
 def _check_mult(pr: Problem, mult: MultiplierTriple):
@@ -250,7 +252,7 @@ def residual_m_detail(pr: Problem, x, mult: MultiplierTriple,
     grads_h = eval_tapes(pr.eq_tapes, xa)[1]
 
     if mode == "prime":
-        branches = [tuple(1.0 if float(t) >= 0.0 else -1.0 for t in mult.tau)]
+        branches = [tuple(branch_sign(float(t)) for t in mult.tau)]
     elif pr.r > MAX_SIGN_BRANCHES:
         raise ValueError(
             f"sign-branch enumeration supports at most {MAX_SIGN_BRANCHES} "

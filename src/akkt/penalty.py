@@ -34,12 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import kernels
-from .expr import unparse
-from .minnorm import MinNormResult, MultiplierTriple, min_norm_point, residual_m_detail
+from .minnorm import (MinNormResult, MultiplierTriple, branch_sign, min_norm_point,
+                      residual_m_detail)
 from .problem import (FeasibilityReport, Problem, check_feasible, constraint_values,
                       feasibility_violation)
 from .subdiff import DEFAULT_EPS_ACT, subdifferential
-from .tape import STATUS_MESSAGES, DomainError, eval_tapes
+from .tape import DomainError, eval_tapes
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 INNER_CAP = 5000        # total inner iterations per k
@@ -51,17 +51,15 @@ RESIDUAL_STOP = 1e-8    # truncate the k-schedule below this
 POLISH_ROUNDS = 40      # model-direction line searches after the ladder
 
 
-def geometric_schedule(k_min: float = 1.0, k_max: float = 1e8, ratio: float = 10.0):
-    """Penalty weights k_min, k_min*ratio, ... up to k_max (inclusive)."""
+def geometric_schedule(k_min: float = 1.0, k_max: float = 1e8):
+    """Penalty weights k_min, 10 k_min, 100 k_min, ... up to k_max (inclusive)."""
     if not (k_min > 0 and math.isfinite(k_min)):
         raise ValueError("k_min must be positive and finite")
     if not (k_max >= k_min and math.isfinite(k_max)):
         raise ValueError("k_max must be >= k_min and finite")
-    if not (ratio > 1.0 and math.isfinite(ratio)):
-        raise ValueError("ratio must be > 1")
     ks = [float(k_min)]
-    while ks[-1] * ratio <= k_max * (1.0 + 1e-12):
-        ks.append(ks[-1] * ratio)
+    while ks[-1] * 10.0 <= k_max * (1.0 + 1e-12):
+        ks.append(ks[-1] * 10.0)
     return tuple(ks)
 
 
@@ -133,8 +131,7 @@ class ProblemKernel:
 
     def _raise_domain(self, status: int, bad: int):
         t = bisect_right(self._starts, bad) - 1
-        node = self._tapes[t].nodes[bad - self._starts[t]]
-        raise DomainError(STATUS_MESSAGES[status], unparse(node))
+        raise self._tapes[t].domain_error(status, bad - self._starts[t])
 
     def _phi_k(self, k: float, x):
         x = self.pr.check_point(x)
@@ -210,8 +207,7 @@ def stationarity_model(kern: ProblemKernel, x, k: float,
             factors.append((k * sd.value, sd.generators))
     for hv, hg in zip(*eval_tapes(pr.eq_tapes, xa)):
         if hv != 0.0:
-            sigma = 1.0 if hv >= 0.0 else -1.0
-            factors.append((k * abs(hv), (sigma * hg)[None, :]))
+            factors.append((k * abs(hv), (branch_sign(hv) * hg)[None, :]))
     factors.append((1.0, (xa - kern.xbar)[None, :]))
 
     res = min_norm_point(factors)
@@ -394,13 +390,9 @@ def extract_multipliers(kern: ProblemKernel, x, k: float,
     mu = np.empty(pr.m)
     for i, gv in enumerate(gvals):
         mu[i] = k * max(gv, 0.0)
-    tau = np.empty(pr.r)
-    sigma = []
-    for j, hv in enumerate(hvals):
-        tau[j] = k * hv
-        sigma.append(1.0 if hv >= 0.0 else -1.0)
+    tau = np.array([k * hv for hv in hvals])
     mult = MultiplierTriple(lam=model.lam, mu=mu, tau=tau, a2_normalized=True)
-    return mult, tuple(sigma), model
+    return mult, tuple(branch_sign(hv) for hv in hvals), model
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import Expr, ParseError, parse_expr, unparse
-from .tape import Tape, compile_tape, eval_tapes
+from .tape import Tape, compile_tape, eval_tapes, eval_values
 from .tape import eval_grad  # noqa: F401 - perfbench's tracer test checks this binding
 
 
@@ -37,7 +37,7 @@ class PiecewiseMaxFn:
     """Pointwise max of smooth pieces, with a user-asserted convexity flag.
 
     The piece tapes are compiled once, at construction; every evaluation
-    runs them through `eval_tapes`.
+    runs them through `eval_values` or `eval_tapes`.
     """
 
     pieces: tuple[Expr, ...]
@@ -49,7 +49,7 @@ class PiecewiseMaxFn:
         object.__setattr__(self, "tapes", tuple(compile_tape(p) for p in self.pieces))
 
     def value(self, x) -> float:
-        return max(eval_tapes(self.tapes, x)[0])
+        return max(eval_values(self.tapes, x))
 
     def value_and_gradients(self, x) -> tuple[float, list[float], list[np.ndarray]]:
         """Returns (max value, piece values, piece gradients)."""
@@ -61,8 +61,8 @@ class PiecewiseMaxFn:
 class Problem:
     """min (f_1..f_p) s.t. g_i <= 0, h_j = 0 on R^n.
 
-    The equality tapes are compiled once, at construction; every point
-    evaluation of the equalities runs them through `eval_tapes`.
+    The equality tapes are compiled once, at construction, and run
+    through `eval_values` or `eval_tapes` at every point.
     """
 
     name: str
@@ -113,7 +113,7 @@ def constraint_values(pr: Problem, x) -> tuple[list[float], list[float]]:
     """(g_i(x) per inequality, h_j(x) per equality), in problem order;
     x must pass `Problem.check_point`."""
     xa = pr.check_point(x)
-    return [g.value(xa) for g in pr.inequalities], eval_tapes(pr.eq_tapes, xa)[0]
+    return [g.value(xa) for g in pr.inequalities], eval_values(pr.eq_tapes, xa)
 
 
 def feasibility_violation(pr: Problem, x) -> FeasibilityReport:

@@ -6,13 +6,14 @@ arguments and the constant pool are plain tuples of ints and floats,
 built once per expression.  `_kernels_py` (bound as `backend.kernels`)
 defines each opcode once, in its table `OPS`, and renders three
 evaluators from it: the interpreter serves one-off evaluations
-(`eval_grad`, `eval_tapes`); `Tape.compiled` turns a tape into
-straight-line Python once per dimension for the penalty kernels' inner
-loop and for one-off evaluations of many points (`eval_compiled`, which
-the convex certifier's spot checks run), bitwise equal to the
-interpreter; and `eval_batch` runs a values-only numpy version over
-rows.  Domain guards (division by zero, log/sqrt of non-positive
-arguments, 0^negative, any non-finite intermediate) abort evaluation
+(`eval_grad`, `eval_tapes`; `eval_values` at gradient width 0);
+`Tape.compiled` turns a tape into straight-line Python once per
+dimension for the penalty kernels' inner loop and for one-off
+evaluations of many points (`eval_compiled`, which the convex
+certifier's spot checks run), bitwise equal to the interpreter; and
+`eval_batch` runs a values-only numpy version over rows.  Domain guards
+(division by zero, log/sqrt of non-positive arguments, 0^negative, any
+non-finite intermediate or computed gradient entry) abort evaluation
 and name the offending subexpression.
 """
 
@@ -52,6 +53,14 @@ class Tape:
         if fn is None:
             fn = self._compiled[n] = backend.kernels.emit_tape(self.ops, self.arg, self.consts, n)
         return fn
+
+    def check_dimension(self, n: int, points: str = "the point has") -> None:
+        if self.n_min > n:
+            raise ValueError(f"expression uses x{self.n_min - 1} but {points} dimension {n}")
+
+    def domain_error(self, status: int, bad: int) -> DomainError:
+        """The error of a nonzero status at this tape's instruction bad."""
+        return DomainError(STATUS_MESSAGES[status], unparse(self.nodes[bad]))
 
 
 @lru_cache(maxsize=1024)
@@ -118,23 +127,20 @@ def eval_grad(e: Expr, x) -> tuple[float, np.ndarray]:
     Raises DomainError on any guard violation or non-finite result and
     ValueError on a dimension mismatch or non-finite input.
     """
-    xa = _check_point(x)
-    return _run(compile_tape(e), xa)
+    values, grads = eval_tapes((compile_tape(e),), x)
+    return values[0], grads[0]
 
 
-def _run(tape: Tape, xa: np.ndarray) -> tuple[float, np.ndarray]:
-    """Evaluate a compiled tape at a point already passed by _check_point."""
-    if tape.n_min > xa.size:
-        raise ValueError(
-            f"expression uses x{tape.n_min - 1} but the point has dimension {xa.size}"
-        )
-    grad = np.zeros(xa.size, dtype=np.float64)
+def _run(tape: Tape, xa: np.ndarray, grad) -> float:
+    """Value of a compiled tape at a point already passed by _check_point;
+    the gradient goes into grad unless it is None."""
+    tape.check_dimension(xa.size)
     status, bad, value = backend.kernels.eval_tape(
         tape.ops, tape.arg, tape.consts, 0, len(tape.ops), xa, grad, tape.max_stack
     )
     if status:
-        raise DomainError(STATUS_MESSAGES[status], unparse(tape.nodes[bad]))
-    return value, grad
+        raise tape.domain_error(status, bad)
+    return value
 
 
 def eval_tapes(tapes, x) -> tuple[list[float], list[np.ndarray]]:
@@ -144,8 +150,15 @@ def eval_tapes(tapes, x) -> tuple[list[float], list[np.ndarray]]:
     those of `eval_grad` on each source expression in turn.
     """
     xa = _check_point(x)
-    out = [_run(tape, xa) for tape in tapes]
-    return [v for v, _ in out], [g for _, g in out]
+    grads = [np.zeros(xa.size, dtype=np.float64) for _ in tapes]
+    return [_run(tape, xa, g) for tape, g in zip(tapes, grads)], grads
+
+
+def eval_values(tapes, x) -> list[float]:
+    """`eval_tapes`'s values, without gradients: a tape raises where
+    `eval_batch` clears a row's ok, never for its gradient."""
+    xa = _check_point(x)
+    return [_run(tape, xa, None) for tape in tapes]
 
 
 def eval_compiled(tape: Tape, x: list) -> tuple[float, tuple[float, ...]]:
@@ -153,18 +166,15 @@ def eval_compiled(tape: Tape, x: list) -> tuple[float, tuple[float, ...]]:
     through the tape's generated code (`Tape.compiled`): `_run`'s value
     and gradient bitwise, the gradient as a tuple, and `_run`'s errors.
     x is not checked for finiteness; the caller passes points it built."""
-    if tape.n_min > len(x):
-        raise ValueError(
-            f"expression uses x{tape.n_min - 1} but the point has dimension {len(x)}"
-        )
+    tape.check_dimension(len(x))
     status, bad, value, grad = tape.compiled(len(x))(x)
     if status:
-        raise DomainError(STATUS_MESSAGES[status], unparse(tape.nodes[bad]))
+        raise tape.domain_error(status, bad)
     return value, grad
 
 
 def eval_value(e: Expr, x) -> float:
-    return eval_grad(e, x)[0]
+    return eval_values((compile_tape(e),), x)[0]
 
 
 def eval_batch(e: Expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,18 +183,13 @@ def eval_batch(e: Expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (values, ok) where ok marks rows that evaluated cleanly;
     rows violating a domain guard or producing a non-finite intermediate
     get ok=False instead of raising, as `eval_value` would raise there.
-    Values on rows with ok False are unspecified.  One case differs
-    from `eval_value`: a row whose value is finite while its gradient
-    overflows (x0^-1 at 1e-200) is ok here, where `eval_value` raises.
+    Values on rows with ok False are unspecified.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must have shape (m, n)")
     tape = compile_tape(e)
-    if tape.n_min > X.shape[1]:
-        raise ValueError(
-            f"expression uses x{tape.n_min - 1} but points have dimension {X.shape[1]}"
-        )
+    tape.check_dimension(X.shape[1], "points have")
     ok = np.ones(X.shape[0], dtype=bool)
     for j in range(X.shape[1]):
         ok &= np.isfinite(X[:, j])

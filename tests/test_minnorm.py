@@ -134,10 +134,6 @@ class TestMultiplierTriple:
         with pytest.raises(ValueError):
             MultiplierTriple(lam=[0.4, 0.4], mu=[], tau=[], a2_normalized=True)
 
-    def test_norm(self):
-        t = MultiplierTriple(lam=[3.0], mu=[4.0], tau=[])
-        assert t.norm() == 5.0
-
 
 class TestResidual:
     def test_mangasarian_cancelling_multipliers(self, p1):

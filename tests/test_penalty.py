@@ -39,8 +39,6 @@ class TestSchedule:
             geometric_schedule(0.0, 10.0)
         with pytest.raises(ValueError):
             geometric_schedule(10.0, 1.0)
-        with pytest.raises(ValueError):
-            geometric_schedule(1.0, 10.0, ratio=1.0)
 
 
 class TestConfig:

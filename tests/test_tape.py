@@ -1,16 +1,16 @@
 """Tape evaluation paths: scalar helpers, precompiled pieces and
 equalities, batch rows."""
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from akkt import _kernels_py
 from akkt.certify import certify_weak_efficiency_convex, check_kkt, check_qncq_sufficient
-from akkt.expr import DomainError, Expr, parse_expr, unparse
+from akkt.expr import DomainError, parse_expr, unparse
 from akkt.minnorm import MultiplierTriple, residual_m_detail
 from akkt.penalty import ProblemKernel, stationarity_model
-from akkt.problem import PiecewiseMaxFn, constraint_values, load_problem_dict
+from akkt.problem import PiecewiseMaxFn, Problem, constraint_values, load_problem_dict
 from akkt.tape import compile_tape, eval_batch, eval_grad, eval_value
 
 from _oracles import batch_reference
@@ -26,6 +26,31 @@ def test_eval_helpers_agree_with_python_kernel():
         v, g = eval_grad(e, x)
         assert v == eval_value(e, x)
         assert np.all(np.isfinite(g))
+
+
+def _value_only_calls(e, n):
+    """eval_value, PiecewiseMaxFn.value and constraint_values on the one
+    expression e, each as a function of the point."""
+    fn = PiecewiseMaxFn(pieces=(e,))
+    pr = Problem(name="one", n=n, objectives=(fn,), inequalities=(fn,), equalities=(e,))
+    return (lambda x: eval_value(e, x), fn.value, lambda x: constraint_values(pr, x))
+
+
+def test_value_only_calls_run_the_interpreter_at_gradient_width_0(monkeypatch):
+    widths = []
+    run_tape = _kernels_py._run_tape
+
+    def spy(ops, arg, consts, i0, i1, x, n, vs, gs):
+        widths.append(n)
+        return run_tape(ops, arg, consts, i0, i1, x, n, vs, gs)
+
+    monkeypatch.setattr(_kernels_py, "_run_tape", spy)
+    e = parse_expr("x0 * x1 + sin(x0) / x1", 2)
+    x = [0.3, -1.2]
+    for call in _value_only_calls(e, 2):
+        call(x)
+    eval_grad(e, x)
+    assert widths == [0, 0, 0, 0, 2]  # constraint_values runs g and h
 
 
 def _bits(values) -> bytes:
@@ -231,31 +256,30 @@ class TestBatch:
             clean += int(ok.sum())
         assert flagged > 1000 and clean > 1000
 
-    @staticmethod
-    def _frozen(e, x):
-        """e with every variable replaced by its value at x: the same
-        float operations on values, with a gradient identically zero."""
-        if e.op == "var":
-            return Expr("const", value=float(x[e.index]))
-        return dataclasses.replace(e, args=tuple(TestBatch._frozen(a, x) for a in e.args))
-
     def test_scalar_and_batch_agree_on_domain_errors(self):
-        # a row is ok exactly where the scalar path evaluates the values
-        # without a guard or a non-finite value; eval_value also checks
-        # the gradient, whose overflow alone is the divergence pinned below
+        # a row is ok exactly where every value-only call returns, and all
+        # of them return eval_grad's value or raise eval_batch's error;
+        # eval_grad also checks the gradient, so it may raise on an ok row
         for e, X in self._guarded_cases(32):
+            calls = _value_only_calls(e, X.shape[1])
             _, ok = eval_batch(e, X)
             for x, good in zip(X, ok):
-                try:
-                    value = eval_value(self._frozen(e, x), [0.0])
-                except DomainError:
-                    assert not good, (unparse(e), x)
-                    continue
-                assert good, (unparse(e), x)
-                try:
-                    assert eval_value(e, x) == value
-                except DomainError as err:
-                    assert str(err) == f"non-finite value in subexpression '{unparse(e)}'"
+                outcomes = []
+                for call in calls:
+                    try:
+                        outcomes.append(call(x))
+                    except DomainError as err:
+                        outcomes.append(str(err))
+                value = outcomes[0]
+                raised = isinstance(value, str)
+                assert outcomes[1:] == [value, value if raised else ([value], [value])], (
+                    unparse(e), x)
+                assert good == (not raised), (unparse(e), x)
+                if good:
+                    try:
+                        assert eval_grad(e, x)[0] == value
+                    except DomainError as err:
+                        assert str(err) == f"non-finite value in subexpression '{unparse(e)}'"
 
     def test_scalar_and_batch_agree_on_values(self):
         # numpy's ** and ufuncs may round an operation differently from
@@ -271,14 +295,16 @@ class TestBatch:
             for x, v in zip(X, vals):
                 assert v == pytest.approx(eval_value(e, x), rel=1e-12, abs=1e-12), (unparse(e), x)
 
-    def test_gradient_only_overflow_is_ok_in_the_batch(self):
-        # the documented divergence: x0^-1 at 1e-200 is 1e200 with an
-        # infinite gradient, so eval_value raises where the row is ok
+    def test_gradient_only_overflow_agrees_with_the_batch(self):
+        # x0^-1 at 1e-200 is 1e200 with an infinite gradient: the row is
+        # ok and every value-only call returns 1e200; only eval_grad raises
         e = parse_expr("x0^-1", 1)
         vals, ok = eval_batch(e, np.array([[1e-200]]))
         assert ok.tolist() == [True] and vals[0] == 1e200
+        value, fn_value, cons = (call([1e-200]) for call in _value_only_calls(e, 1))
+        assert value == fn_value == 1e200 and cons == ([1e200], [1e200])
         with pytest.raises(DomainError, match=r"^non-finite value in subexpression 'x0\^-1'$"):
-            eval_value(e, [1e-200])
+            eval_grad(e, [1e-200])
 
     @pytest.mark.parametrize("text, rel", [
         ("x0^2", 0.0), ("x0^-1", 0.0), ("sin(x0)*x0/(x0 + 1)", 0.0),
